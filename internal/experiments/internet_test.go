@@ -64,6 +64,13 @@ func TestInternetCaptures(t *testing.T) {
 	}
 }
 
+// internetPinnedDigest / internetPinnedEvents pin the 5-part
+// smallInternet reference run across commits (see forestPinnedDigest).
+const (
+	internetPinnedDigest = "fb910b7fb8641836a12069e664a74d35df59814d6e4c7a6216cfe3971795813b"
+	internetPinnedEvents = 612316
+)
+
 func TestInternetFingerprintAcrossShards(t *testing.T) {
 	cfg := smallInternet()
 	cfg.Topology.Parts = 5 // parts coprime to both widths
@@ -75,6 +82,7 @@ func TestInternetFingerprintAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		if base == nil {
+			pinDigest(t, res.Fingerprint(), res.EventsFired, internetPinnedDigest, internetPinnedEvents)
 			base = res
 			continue
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -16,6 +18,28 @@ func quickForestConfig() ForestConfig {
 	cfg.AttackStart = 2
 	cfg.AttackEnd = 18
 	return cfg
+}
+
+// forestPinnedDigest / forestPinnedEvents pin quickForestConfig's
+// reference run across commits: the cross-shard comparison below only
+// proves the widths agree with each other, so a refactor that moved
+// every width identically would otherwise pass.
+const (
+	forestPinnedDigest = "a5a4ed214c385a1b95a5f87c8ffe035274fdb26ed688fad1e1e99ce8af5f9dae"
+	forestPinnedEvents = 3013290
+)
+
+// pinDigest fails unless the fingerprint's sha256 and the event count
+// match the values recorded for the reference run.
+func pinDigest(t *testing.T, fp string, events uint64, digest string, wantEvents uint64) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(fp))
+	if got := hex.EncodeToString(sum[:]); got != digest {
+		t.Fatalf("fingerprint sha256 %s, pinned %s\n%s", got, digest, fp)
+	}
+	if events != wantEvents {
+		t.Fatalf("fired %d events, pinned %d", events, wantEvents)
+	}
 }
 
 // TestForestFingerprintAcrossShards is the headline invariant of the
@@ -41,6 +65,7 @@ func TestForestFingerprintAcrossShards(t *testing.T) {
 		t.Fatalf("reference run leaked: %+v", ref.Leak)
 	}
 	refFP := ref.Fingerprint()
+	pinDigest(t, refFP, ref.EventsFired, forestPinnedDigest, forestPinnedEvents)
 
 	for _, shards := range []int{2, 4, 8} {
 		cfg.Shards = shards
