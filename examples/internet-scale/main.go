@@ -47,7 +47,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("defense: %d control messages, peak state %d of budget %d\n",
 		res.CtrlMessages, res.PeakState, res.StateBudget)
-	fmt.Printf("engine: %d events in %.2f s wall\n", res.EventsFired, res.Wall.Seconds())
+	fmt.Printf("engine: %d events; host time %.2f s build, %.2f s sim\n", res.EventsFired, res.Build.Seconds(), res.Wall.Seconds())
 	if !res.Leak.Clean() {
 		log.Fatalf("teardown leaked: %+v", res.Leak)
 	}

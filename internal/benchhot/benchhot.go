@@ -11,6 +11,7 @@
 package benchhot
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/des"
@@ -63,7 +64,7 @@ func Fig8(b *testing.B) {
 func Hierarchical(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunHierarchical(4, true, int64(i+1))
+		r, err := experiments.RunHierarchical(context.Background(), 4, true, int64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

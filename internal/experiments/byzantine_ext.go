@@ -56,11 +56,7 @@ func ExtByzantine(scale Scale) (*Table, error) {
 			}
 			meanCT := "-"
 			if len(r.CaptureTimes) > 0 {
-				var s float64
-				for _, ct := range r.CaptureTimes {
-					s += ct
-				}
-				meanCT = fmt.Sprintf("%.1f", s/float64(len(r.CaptureTimes)))
+				meanCT = fmt.Sprintf("%.1f", mean(r.CaptureTimes))
 			}
 			t.AddRow(
 				nodes,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -77,8 +78,24 @@ func ExtLoad(scale Scale) (*Table, error) {
 }
 
 // RunInterAS measures inter-AS capture time on a transit chain of the
-// given length, with the chosen ingress-identification mode.
-func RunInterAS(transits int, mode asnet.IngressMode, seed int64) (float64, bool, error) {
+// given length, with the chosen ingress-identification mode. A
+// non-nil ctx cancels the run (see TreeConfig.Context).
+func RunInterAS(ctx context.Context, transits int, mode asnet.IngressMode, seed int64) (float64, bool, error) {
+	sim, def, atk, err := transitChain(transits, asnet.Config{Mode: mode}, "ia", seed)
+	if err != nil {
+		return 0, false, err
+	}
+	fc := &firstCapture{sim: sim}
+	def.OnCapture = func(c asnet.Capture) { fc.hit(c.Time) }
+	return fc.runFrom(ctx, des.NewRNG(seed).Float64()*10, 2000, atk.Start)
+}
+
+// transitChain builds the AS-level scenario of RunInterAS and
+// RunHierarchical: a server AS, transits transit ASes and an attacker
+// AS in a line under a fully deployed asnet defense, the server
+// roaming on a 2-server, 10 s-epoch schedule keyed by label and seed,
+// and a 25 pkt/s attacker aimed at it.
+func transitChain(transits int, cfg asnet.Config, label string, seed int64) (*des.Simulator, *asnet.Defense, *asnet.Attacker, error) {
 	sim := des.New()
 	g := asnet.NewGraph(sim)
 	serverAS := g.AddAS(false)
@@ -91,31 +108,14 @@ func RunInterAS(transits int, mode asnet.IngressMode, seed int64) (float64, bool
 	attackerAS := g.AddAS(false)
 	g.Connect(prev, attackerAS)
 	g.ComputeRoutes()
-	def := asnet.NewDefense(g, 10, asnet.Config{Mode: mode})
+	def := asnet.NewDefense(g, 10, cfg)
 	def.DeployAll()
-	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("ia-%d", seed)), 2, 1, 0, 10, 0.2, 200)
+	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("%s-%d", label, seed)), 2, 1, 0, 10, 0.2, 200)
 	if err != nil {
-		return 0, false, err
+		return nil, nil, nil, err
 	}
 	srv := asnet.NewServer(def, serverAS, sched)
-	atk := asnet.NewAttacker(def, attackerAS, srv, 25)
-	capAt := -1.0
-	def.OnCapture = func(c asnet.Capture) {
-		if capAt < 0 {
-			capAt = c.Time
-		}
-		sim.Stop()
-	}
-	rng := des.NewRNG(seed)
-	start := rng.Float64() * 10
-	sim.At(start, func() { atk.Start() })
-	if err := sim.RunUntil(2000); err != nil {
-		return 0, false, err
-	}
-	if capAt < 0 {
-		return 0, false, nil
-	}
-	return capAt - start, true, nil
+	return sim, def, asnet.NewAttacker(def, attackerAS, srv, 25), nil
 }
 
 // ExtInterAS reports inter-AS capture time versus AS-hop distance for
@@ -129,16 +129,13 @@ func ExtInterAS(scale Scale) (*Table, error) {
 			"AS hops", "marking E[CT] (s)", "tunneling E[CT] (s)", "captured",
 		},
 	}
-	runs := scale.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(scale.Runs, 1)
 	for _, transits := range []int{2, 4, 6, 8} {
 		var byMode [2][]float64
 		captured := 0
 		for _, mode := range []asnet.IngressMode{asnet.Marking, asnet.Tunneling} {
 			for r := 0; r < runs; r++ {
-				ct, ok, err := RunInterAS(transits, mode, int64(r+1))
+				ct, ok, err := RunInterAS(scale.Ctx, transits, mode, int64(r+1))
 				if err != nil {
 					return nil, err
 				}
@@ -170,47 +167,37 @@ type FollowerResult struct {
 // adversary that has learned the roaming schedule and stops sending
 // d_follow after each honeypot epoch begins — Sec. 7.3) on a string
 // topology with progressive back-propagation, and evaluates Eq. (12).
-func RunFollower(hops int, dfollow float64, seed int64) (*FollowerResult, error) {
+// A non-nil ctx cancels the run (see TreeConfig.Context).
+func RunFollower(ctx context.Context, hops int, dfollow float64, seed int64) (*FollowerResult, error) {
 	sim := des.New()
 	tr := topology.NewString(sim, hops, 2, topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
 	pcfg := roaming.Config{
 		N: 2, K: 1, EpochLen: 10, Guard: 0.2, Epochs: 600,
 		ChainSeed: []byte(fmt.Sprintf("follower-%d", seed)),
 	}
-	pool, err := roaming.NewPool(sim, tr.Servers, pcfg)
+	st, err := newHBP(tr.Net, tr.Servers, tr.Servers, pcfg, tr.IsHost, core.Config{Progressive: true, Rho: 8})
 	if err != nil {
 		return nil, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{Progressive: true, Rho: 8})
-	if err != nil {
-		return nil, err
-	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
+	st.def.DeployAll(st.agents)
 
 	const ratePPS = 25.0
 	rng := des.NewRNG(seed)
-	follower := traffic.NewFollower(tr.Leaves[0], pool, traffic.AttackerConfig{
+	follower := traffic.NewFollower(tr.Leaves[0], st.pool, traffic.AttackerConfig{
 		Rate: ratePPS * 500 * 8, Size: 500,
 		SpoofSpace: []netsim.NodeID{9001, 9002, 9003},
 	}, dfollow, rng)
 
-	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: -1}
-	attackStart := 0.5
-	def.OnCapture = func(c core.Capture) {
-		if !res.Captured {
-			res.Captured = true
-			res.MeasuredCT = c.Time - attackStart
-		}
-		sim.Stop()
-	}
-	pool.Start()
-	sim.At(attackStart, func() { follower.Start() })
-	if err := sim.RunUntil(float64(pcfg.Epochs) * pcfg.EpochLen); err != nil {
+	fc := &firstCapture{sim: sim}
+	st.def.OnCapture = func(c core.Capture) { fc.hit(c.Time) }
+	st.pool.Start()
+	ct, ok, err := fc.runFrom(ctx, 0.5, float64(pcfg.Epochs)*pcfg.EpochLen, follower.Start)
+	if err != nil {
 		return nil, err
+	}
+	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: -1, Captured: ok}
+	if ok {
+		res.MeasuredCT = ct
 	}
 	res.Model = analysis.ProgressiveFollower(analysis.Params{
 		M: pcfg.EpochLen, P: 0.5, R: ratePPS, H: hops + 1, Tau: 0.01,
@@ -236,12 +223,9 @@ func ExtFollower(scale Scale) (*Table, error) {
 		var cts []float64
 		captured := 0
 		model := analysis.Result{}
-		runs := scale.Runs
-		if runs < 1 {
-			runs = 1
-		}
+		runs := max(scale.Runs, 1)
 		for r := 0; r < runs; r++ {
-			res, err := RunFollower(10, df, int64(r+1))
+			res, err := RunFollower(scale.Ctx, 10, df, int64(r+1))
 			if err != nil {
 				return nil, err
 			}
@@ -295,7 +279,7 @@ func ExtRoamingOverhead(scale Scale) (*Table, error) {
 			c := tcp.NewRoamingClient(e, sub, tr.Servers, 1, tcp.SenderConfig{}, rng)
 			pool.Start()
 			sim.At(0.01, func() { c.Start(pcfg.EpochLen) })
-			if err := sim.RunUntil(600); err != nil {
+			if err := runSim(scale.Ctx, sim, 600); err != nil {
 				return 0, 0, err
 			}
 			return c.Sender.GoodputBytes(), c.Sender.Stats.Migrations, nil
@@ -304,7 +288,7 @@ func ExtRoamingOverhead(scale Scale) (*Table, error) {
 		tcp.NewEndpoint(tr.Servers[0]) // plain always-on server
 		pool.Start()
 		sim.At(0.01, func() { s.Start() })
-		if err := sim.RunUntil(600); err != nil {
+		if err := runSim(scale.Ctx, sim, 600); err != nil {
 			return 0, 0, err
 		}
 		return s.GoodputBytes(), 0, nil
@@ -371,14 +355,12 @@ func ExtEq4(scale Scale) (*Table, error) {
 			"hops", "measured E[CT] (s)", "std (s)", "Eq.(4) E[CT] (s)", "captured",
 		},
 	}
-	runs := scale.Runs
-	if runs < 2 {
-		runs = 2
-	}
+	runs := max(scale.Runs, 2)
 	for _, h := range []int{5, 10, 20} {
 		cfg := ValidationConfig{
 			Hops: h, EpochLen: 10, HoneypotProb: 0.5, PoolSize: 10,
 			RatePPS: 0.5, PacketSize: 500, Runs: runs, Seed: 9, MaxEpochs: 400,
+			Context: scale.Ctx,
 		}
 		r, err := RunValidationProgressive(cfg)
 		if err != nil {
@@ -429,8 +411,9 @@ func ExtDeployment(scale Scale) (*Table, error) {
 // RunOnOffValidation measures basic-scheme capture time against an
 // on-off attacker, for comparison with Eqs. (5), (7) and (10). The
 // burst must be long enough that one overlapped epoch traces the
-// whole path (the basic scheme's applicability condition).
-func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float64, captured int, model analysis.Result, err error) {
+// whole path (the basic scheme's applicability condition). A non-nil
+// ctx cancels the runs (see TreeConfig.Context).
+func RunOnOffValidation(ctx context.Context, ton, toff float64, runs int, seed int64) (measured float64, captured int, model analysis.Result, err error) {
 	const (
 		hops     = 6
 		epochLen = 10.0
@@ -440,23 +423,14 @@ func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float
 	for run := 0; run < runs; run++ {
 		sim := des.New()
 		tr := topology.NewString(sim, hops, 2, topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
-		pcfg := roaming.Config{
+		st, serr := newHBP(tr.Net, tr.Servers, tr.Servers, roaming.Config{
 			N: 2, K: 1, EpochLen: epochLen, Guard: 0.2, Epochs: 600,
 			ChainSeed: []byte(fmt.Sprintf("onoffv-%d-%d", seed, run)),
+		}, tr.IsHost, core.Config{})
+		if serr != nil {
+			return 0, 0, model, serr
 		}
-		pool, perr := roaming.NewPool(sim, tr.Servers, pcfg)
-		if perr != nil {
-			return 0, 0, model, perr
-		}
-		def, derr := core.New(tr.Net, pool, tr.IsHost, core.Config{})
-		if derr != nil {
-			return 0, 0, model, derr
-		}
-		var agents []*roaming.ServerAgent
-		for _, s := range tr.Servers {
-			agents = append(agents, roaming.NewServerAgent(pool, s))
-		}
-		def.DeployAll(agents)
+		st.def.DeployAll(st.agents)
 		rng := des.NewRNG(seed*777 + int64(run))
 		target := tr.Servers[0].ID
 		burst := &traffic.OnOff{
@@ -467,22 +441,16 @@ func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float
 			},
 			Ton: ton, Toff: toff,
 		}
-		capAt := -1.0
-		def.OnCapture = func(c core.Capture) {
-			if capAt < 0 {
-				capAt = c.Time
-			}
-			sim.Stop()
-		}
-		pool.Start()
-		start := rng.Float64() * epochLen
-		sim.At(start, func() { burst.Start() })
-		if rerr := sim.RunUntil(6000); rerr != nil {
+		fc := &firstCapture{sim: sim}
+		st.def.OnCapture = func(c core.Capture) { fc.hit(c.Time) }
+		st.pool.Start()
+		ct, ok, rerr := fc.runFrom(ctx, rng.Float64()*epochLen, 6000, burst.Start)
+		if rerr != nil {
 			return 0, 0, model, rerr
 		}
-		if capAt >= 0 {
+		if ok {
 			captured++
-			cts = append(cts, capAt-start)
+			cts = append(cts, ct)
 		}
 	}
 	model = analysis.BasicOnOff(analysis.Params{
@@ -495,10 +463,7 @@ func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float
 // on-off attacks against the Sec. 7.3 closed forms across the three
 // regimes.
 func ExtOnOffValidation(scale Scale) (*Table, error) {
-	runs := scale.Runs
-	if runs < 2 {
-		runs = 2
-	}
+	runs := max(scale.Runs, 2)
 	t := &Table{
 		Title: "Extension — validation of the on-off equations (basic scheme, m=10s, p=0.5, 25 pkt/s, h=7)",
 		Note:  "bursts long enough for a full single-epoch trace; the closed forms are conservative expectations",
@@ -511,7 +476,7 @@ func ExtOnOffValidation(scale Scale) (*Table, error) {
 		{12, 10}, // case 2: ton/2 < m <= ton+toff
 		{4, 3},   // case 3: m > ton+toff
 	} {
-		measured, captured, model, err := RunOnOffValidation(pt.ton, pt.toff, runs, 11)
+		measured, captured, model, err := RunOnOffValidation(scale.Ctx, pt.ton, pt.toff, runs, 11)
 		if err != nil {
 			return nil, err
 		}

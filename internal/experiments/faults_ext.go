@@ -92,11 +92,7 @@ func ExtFaults(scale Scale) (*Table, error) {
 			}
 			meanCT := "-"
 			if len(r.CaptureTimes) > 0 {
-				var s float64
-				for _, ct := range r.CaptureTimes {
-					s += ct
-				}
-				meanCT = fmt.Sprintf("%.1f", s/float64(len(r.CaptureTimes)))
+				meanCT = fmt.Sprintf("%.1f", mean(r.CaptureTimes))
 			}
 			t.AddRow(
 				fmt.Sprintf("%.0f", loss*100),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -33,34 +34,19 @@ type HierarchicalResult struct {
 // chain of the given length — the two-level composition of Sec. 5.2:
 // inter-AS honeypot sessions walk HSM-to-HSM to the attack-hosting
 // stub AS, then the intra-AS phase (a fixed delay, or an embedded
-// router-level traceback on the same clock) locates the zombie.
-func RunHierarchical(transits int, embedded bool, seed int64) (*HierarchicalResult, error) {
-	sim := des.New()
-	g := asnet.NewGraph(sim)
-	serverAS := g.AddAS(false)
-	prev := serverAS
-	for i := 0; i < transits; i++ {
-		tr := g.AddAS(true)
-		g.Connect(prev, tr)
-		prev = tr
-	}
-	attackerAS := g.AddAS(false)
-	g.Connect(prev, attackerAS)
-	g.ComputeRoutes()
+// router-level traceback on the same clock) locates the zombie. A
+// non-nil ctx cancels the run (see TreeConfig.Context).
+func RunHierarchical(ctx context.Context, transits int, embedded bool, seed int64) (*HierarchicalResult, error) {
 	cfg := asnet.Config{Mode: asnet.Marking}
 	var em *asnet.EmbeddedIntraAS
 	if embedded {
 		em = &asnet.EmbeddedIntraAS{Seed: seed}
 		cfg.IntraAS = em
 	}
-	def := asnet.NewDefense(g, 10, cfg)
-	def.DeployAll()
-	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("hier-%d", seed)), 2, 1, 0, 10, 0.2, 200)
+	sim, def, atk, err := transitChain(transits, cfg, "hier", seed)
 	if err != nil {
 		return nil, err
 	}
-	srv := asnet.NewServer(def, serverAS, sched)
-	atk := asnet.NewAttacker(def, attackerAS, srv, 25)
 	res := &HierarchicalResult{CT: -1, StateClean: true}
 	rng := des.NewRNG(seed)
 	start := rng.Float64() * 10
@@ -74,8 +60,8 @@ func RunHierarchical(transits int, embedded bool, seed int64) (*HierarchicalResu
 		// teardown crosses the sub-AS routers hop by hop.
 		sim.After(2, sim.Stop)
 	}
-	sim.At(start, func() { atk.Start() })
-	if err := sim.RunUntil(2000); err != nil {
+	sim.At(start, atk.Start)
+	if err := runSim(ctx, sim, 2000); err != nil {
 		return nil, err
 	}
 	if em != nil {
@@ -124,21 +110,18 @@ func ExtHierarchical(scale Scale) (*Table, error) {
 			"captured", "at access", "state clean",
 		},
 	}
-	runs := scale.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(scale.Runs, 1)
 	for _, transits := range []int{2, 4, 6} {
 		var abs, emb []float64
 		captured := 0
 		atAccess, stateClean := true, true
 		for r := 0; r < runs; r++ {
 			seed := int64(r + 1)
-			ra, err := RunHierarchical(transits, false, seed)
+			ra, err := RunHierarchical(scale.Ctx, transits, false, seed)
 			if err != nil {
 				return nil, err
 			}
-			re, err := RunHierarchical(transits, true, seed)
+			re, err := RunHierarchical(scale.Ctx, transits, true, seed)
 			if err != nil {
 				return nil, err
 			}

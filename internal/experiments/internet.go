@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -129,17 +128,21 @@ type InternetResult struct {
 	RouteKind    string
 	RouteBytes   int64
 	BytesPerNode float64
-	// Captures counts zombies captured; CaptureTimes are relative to
-	// the attack start, ascending.
-	Captures     int
+	// ShardedResult carries the totals, the simulate-only Wall, the
+	// leak audit and the fingerprint. Its per-part detail is the
+	// attack flow's sent/skipped emissions and the legitimate flow's
+	// sent count.
+	ShardedResult
+	// Build is the host time from the start of RunInternet to the start
+	// of the run: topology, routes, defense deployment and workload
+	// set-up.
+	Build time.Duration
+	// CaptureTimes are relative to the attack start, ascending.
 	CaptureTimes []float64
 	// MeanBefore / MeanDuringAttack are the bottleneck's legitimate
 	// goodput fractions.
 	MeanBefore       float64
 	MeanDuringAttack float64
-	// CtrlMessages sums the per-part defenses' control overhead —
-	// the control-cost axis of the sweep.
-	CtrlMessages int64
 	// PeakState / StateBudget sum the per-part defense-state
 	// high-water marks and ceilings — the state-budget axis.
 	PeakState   int
@@ -149,24 +152,6 @@ type InternetResult struct {
 	AttackSent    int64
 	AttackSkipped int64
 	LegitSent     int64
-	// QueueDrops is the cluster-wide drop-tail loss count.
-	QueueDrops int64
-	// EventsFired sums dispatched events over all shards; identical
-	// at every shard count.
-	EventsFired uint64
-	// Wall is the wall-clock run time.
-	Wall time.Duration
-	// Leak is the post-teardown resource audit.
-	Leak LeakReport
-
-	partFPs []string
-}
-
-// Fingerprint is the determinism digest: per-part capture schedules
-// and flow counters plus cluster-wide drops. Runs of one config at
-// different shard counts must produce byte-identical fingerprints.
-func (r *InternetResult) Fingerprint() string {
-	return strings.Join(r.partFPs, "\n") + fmt.Sprintf("\ndrops=%d", r.QueueDrops)
 }
 
 // armedFrontierOracle expands a member's packets at the deepest
@@ -207,13 +192,10 @@ func (o *armedFrontierOracle) Expand(member, dst netsim.NodeID) (*netsim.Node, *
 
 // internetPart is the per-part state of an internet run.
 type internetPart struct {
-	pool   *roaming.Pool
-	def    *core.Defense
-	atk    *traffic.MacroFlow
-	legit  *traffic.MacroFlow
-	agents []*roaming.ServerAgent
-	capFP  []string
-	capAt  []float64
+	hbpPart
+	atk   *traffic.MacroFlow
+	legit *traffic.MacroFlow
+	capAt []float64
 }
 
 // RunInternet executes one internet-scale scenario end to end on the
@@ -228,6 +210,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	build := stopwatch()
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -275,31 +258,29 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	}
 
 	parts := make([]*internetPart, it.Parts)
+	var defs []*core.Defense
 	for part := 0; part < it.Parts; part++ {
 		part := part
 		sim := cl.Part(part).Sim
-		pool, err := roaming.NewPool(sim, it.Servers, poolCfg)
+		var agentServers []*netsim.Node
+		if part == 0 {
+			agentServers = it.Servers
+		}
+		st, err := newHBP(cl.Part(part), it.Servers, agentServers, poolCfg, it.IsHost, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		def, err := core.New(cl.Part(part), pool, it.IsHost, core.Config{})
-		if err != nil {
-			return nil, err
-		}
+		pt := &internetPart{hbpPart: hbpPart{hbpStack: *st}}
+		parts[part] = pt
+		pool, def := pt.pool, pt.def
+		defs = append(defs, def)
 		// Remote nodes a control walk reaches are deployed exactly when
 		// they are AS routers — a pure topology read, never remote
 		// defense state.
 		def.RemoteDeployed = it.IsRouter
-		pt := &internetPart{pool: pool, def: def}
-		parts[part] = pt
-		if part == 0 {
-			for _, s := range it.Servers {
-				pt.agents = append(pt.agents, roaming.NewServerAgent(pool, s))
-			}
-		}
 		def.DeployAll(pt.agents)
 		def.OnCapture = func(c core.Capture) {
-			pt.capFP = append(pt.capFP, fmt.Sprintf("%.9f:%d>%d", c.Time, c.Router, c.Attacker))
+			pt.record(c)
 			pt.capAt = append(pt.capAt, c.Time)
 			// Stop the captured host's contribution: its access port is
 			// shut, so its flow share is gone. The capture fires on the
@@ -363,39 +344,16 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 
 	mon := metrics.NewBottleneckMonitor(cl.Part(0).Sim, it.Bottleneck, it.ServerGW, 1)
 
-	if cfg.EventLimit > 0 || cfg.Context != nil {
-		lim, ctx := cfg.EventLimit, cfg.Context
-		ss.SetInterrupt(0, func() error {
-			if lim > 0 && ss.Fired() > lim {
-				return des.ErrEventLimit
-			}
-			if ctx != nil {
-				return ctx.Err()
-			}
-			return nil
-		})
+	res.Build = build()
+	if err := res.run(cfg.Context, ss, cl, defs, cfg.EventLimit, cfg.Duration); err != nil {
+		return nil, err
 	}
-
-	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the sweep report; it never feeds simulation state.
-	if err := ss.RunUntil(cfg.Duration); err != nil {
-		for _, pt := range parts {
-			pt.def.Close()
-		}
-		cl.Drain()
-		return nil, fmt.Errorf("experiments: internet run aborted at t=%.1fs after %d events: %w",
-			ss.Now(), ss.Fired(), err)
-	}
-	res.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the sweep report; it never feeds simulation state.
-
-	// Collection and leak-checked teardown.
 	series := mon.Series()
 	res.MeanBefore = series.MeanBetween(1, cfg.AttackStart)
 	res.MeanDuringAttack = series.MeanBetween(cfg.AttackStart, cfg.AttackEnd)
 	var capAt []float64
 	for i, pt := range parts {
-		res.Captures += len(pt.capFP)
 		capAt = append(capAt, pt.capAt...)
-		res.CtrlMessages += pt.def.MsgSent
 		res.PeakState += pt.def.PeakState
 		res.StateBudget += pt.def.StateBudget()
 		var as, ask, ls int64
@@ -408,18 +366,11 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 		res.AttackSent += as
 		res.AttackSkipped += ask
 		res.LegitSent += ls
-		res.partFPs = append(res.partFPs, fmt.Sprintf(
-			"part%d caps[%s] atk=%d/%d legit=%d ctrl=%d",
-			i, strings.Join(pt.capFP, ","), as, ask, ls, pt.def.MsgSent))
-		pt.def.Close()
-		res.Leak.DefenseState += pt.def.StateSize()
+		res.addPart(i, &pt.hbpPart, fmt.Sprintf("atk=%d/%d legit=%d", as, ask, ls))
 	}
 	sort.Float64s(capAt)
 	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
-	res.QueueDrops = cl.TotalQueueDrops()
-	res.EventsFired = ss.Fired()
-	cl.Drain()
-	res.Leak.PacketsOutstanding = cl.PacketsOutstanding()
+	res.finish(ss, cl, defs)
 	return res, nil
 }
 
@@ -458,9 +409,11 @@ func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
 		Title: "Internet-scale sweep: capture dynamics vs zombie dispersion",
 		Note: "One power-law AS tree per point (hosts = 2x zombies), fixed aggregate " +
 			"attack rate; macro-flows expand per-packet only from the honeypot-armed " +
-			"frontier. route B/node is the compressed table's footprint.",
+			"frontier. route B/node is the compressed table's footprint; build(s) and " +
+			"sim(s) are host time for set-up and for the run itself.",
 		Headers: []string{"zombies", "hosts", "ASes", "route", "B/node", "captures",
-			"first-cap(s)", "median-cap(s)", "goodput", "ctrl-msgs", "peak-state", "events", "wall(s)"},
+			"first-cap(s)", "median-cap(s)", "goodput", "ctrl-msgs", "peak-state", "events",
+			"build(s)", "sim(s)"},
 	}
 	for _, z := range internetZombieSweep {
 		if z > maxZombies {
@@ -483,7 +436,7 @@ func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
 		t.AddRow(z, res.Hosts, res.ASes, res.RouteKind, fmt.Sprintf("%.1f", res.BytesPerNode),
 			res.Captures, first, median, fmt.Sprintf("%.3f", res.MeanDuringAttack),
 			res.CtrlMessages, res.PeakState, fmt.Sprint(res.EventsFired),
-			fmt.Sprintf("%.1f", res.Wall.Seconds()))
+			fmt.Sprintf("%.1f", res.Build.Seconds()), fmt.Sprintf("%.1f", res.Wall.Seconds()))
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/des"
@@ -61,6 +62,36 @@ func TestRunTreeCancellation(t *testing.T) {
 	cfg.Context = ctx
 	if _, err := RunTree(cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunTree with cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFiguresCancel checks Scale.Ctx's promise to cancel every run a
+// figure generator launches: with an already-cancelled context, every
+// figure that simulates aborts with context.Canceled. Only the
+// analytical figures 5, 7 and 9 have no run to stop.
+func TestFiguresCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	scale := QuickScale()
+	scale.Ctx = ctx
+	gens := Figures()
+	ids := make([]string, 0, len(gens))
+	for id := range gens {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		_, err := gens[id](scale)
+		switch id {
+		case "5", "7", "9":
+			if err != nil {
+				t.Errorf("analytical figure %s: %v", id, err)
+			}
+		default:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("figure %s with a cancelled context: err = %v, want context.Canceled", id, err)
+			}
+		}
 	}
 }
 

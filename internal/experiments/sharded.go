@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -54,6 +54,11 @@ type ForestConfig struct {
 	// (netsim.RouteMode); the zero value keeps the historical dense
 	// table.
 	Routing netsim.RouteMode
+	// Context, when non-nil, cancels the run cooperatively with
+	// TreeConfig.Context's semantics: the engine polls it at every
+	// window barrier and an uncancelled run is bit-identical with or
+	// without it.
+	Context context.Context `json:"-"`
 }
 
 // DefaultForestConfig returns a 4-tree forest sized so unit tests and
@@ -97,49 +102,25 @@ func (c ForestConfig) Validate() error {
 	return nil
 }
 
-// ForestResult summarizes one sharded forest run.
+// ForestResult summarizes one sharded forest run. Its fingerprint's
+// per-part detail is the sink's delivery count and hash and the
+// legitimate bytes served.
 type ForestResult struct {
 	Config ForestConfig
-	// Captures is the total attacker-capture count over all parts.
-	Captures int
+	ShardedResult
 	// SinkDelivered is the per-part count of cross-traffic packets
 	// delivered to that part's sink.
 	SinkDelivered []int64
 	// ServedBytes sums legitimate payload accepted by all servers.
 	ServedBytes int64
-	// CtrlMessages sums the per-part defenses' control overhead.
-	CtrlMessages int64
-	// QueueDrops is the cluster-wide drop-tail loss count.
-	QueueDrops int64
-	// EventsFired sums dispatched events over all shards; it must be
-	// identical at every shard count.
-	EventsFired uint64
-	// Wall is the wall-clock run time (the speedup numerator).
-	Wall time.Duration
-	// Leak is the post-teardown resource audit (see LeakReport).
-	Leak LeakReport
-
-	partFPs []string
-}
-
-// Fingerprint is the determinism digest of the run: per-part capture
-// schedules (time, router, attacker), cross-traffic delivery hashes,
-// served bytes and control overhead, plus the cluster drop count.
-// Two runs of the same config at different shard counts must produce
-// byte-identical fingerprints.
-func (r *ForestResult) Fingerprint() string {
-	return strings.Join(r.partFPs, "\n") + fmt.Sprintf("\ndrops=%d", r.QueueDrops)
 }
 
 // forestPart is the per-tree state of a forest run.
 type forestPart struct {
+	hbpPart
 	tree *topology.Tree
 	sink *netsim.Node
-	pool *roaming.Pool
-	def  *core.Defense
 
-	agents    []*roaming.ServerAgent
-	capFP     []string
 	sinkCount int64
 	sinkHash  uint64
 }
@@ -199,32 +180,23 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 
 	// Phase 2: per-part workload and defense.
 	res := &ForestResult{Config: cfg, SinkDelivered: make([]int64, cfg.Parts)}
+	var defs []*core.Defense
 	for i, pt := range parts {
 		pt := pt
-		tr := pt.tree
+		tr, sink := pt.tree, pt.sink
 		sim := cl.Part(i).Sim
-		pool, err := roaming.NewPool(sim, tr.Servers, roaming.Config{
+		isHost := func(n *netsim.Node) bool { return tr.IsHost(n) || n == sink }
+		st, err := newHBP(tr.Net, tr.Servers, tr.Servers, roaming.Config{
 			N: len(tr.Servers), K: 2, EpochLen: 5, Guard: 0.3, Epochs: 64,
 			ChainSeed: []byte(fmt.Sprintf("forest-part-%d", i)),
-		})
+		}, isHost, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		pt.pool = pool
-		for _, s := range tr.Servers {
-			pt.agents = append(pt.agents, roaming.NewServerAgent(pool, s))
-		}
-		sink := pt.sink
-		isHost := func(n *netsim.Node) bool { return tr.IsHost(n) || n == sink }
-		def, err := core.New(tr.Net, pool, isHost, core.Config{})
-		if err != nil {
-			return nil, err
-		}
-		pt.def = def
-		def.DeployAll(pt.agents)
-		def.OnCapture = func(c core.Capture) {
-			pt.capFP = append(pt.capFP, fmt.Sprintf("%.9f:%d>%d", c.Time, c.Router, c.Attacker))
-		}
+		pt.hbpStack = *st
+		pt.def.DeployAll(pt.agents)
+		pt.def.OnCapture = pt.record
+		defs = append(defs, pt.def)
 		sink.Handler = func(p *netsim.Packet, in *netsim.Port) {
 			pt.sinkCount++
 			pt.sinkHash = pt.sinkHash*1099511628211 ^
@@ -239,7 +211,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		clientCfg := traffic.ClientConfig{Rate: clientRate, Size: cfg.PacketSize}
 		var clients []*traffic.Client
 		for _, h := range clientHosts {
-			sub, err := pool.Issue(63)
+			sub, err := pt.pool.Issue(63)
 			if err != nil {
 				return nil, err
 			}
@@ -271,8 +243,8 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 			}
 		}
 
-		pool.Start()
-		epochLen := pool.Config().EpochLen
+		pt.pool.Start()
+		epochLen := pt.pool.Config().EpochLen
 		sim.At(0, func() {
 			for _, c := range clients {
 				c.Start(epochLen)
@@ -293,47 +265,19 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		})
 	}
 
-	if cfg.EventLimit > 0 {
-		lim := cfg.EventLimit
-		ss.SetInterrupt(0, func() error {
-			if ss.Fired() > lim {
-				return des.ErrEventLimit
-			}
-			return nil
-		})
+	if err := res.run(cfg.Context, ss, cl, defs, cfg.EventLimit, cfg.Duration); err != nil {
+		return nil, err
 	}
-
-	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the speedup report; it never feeds simulation state.
-	if err := ss.RunUntil(cfg.Duration); err != nil {
-		for _, pt := range parts {
-			pt.def.Close()
-		}
-		cl.Drain()
-		return nil, fmt.Errorf("experiments: forest run aborted at t=%.1fs after %d events: %w",
-			ss.Now(), ss.Fired(), err)
-	}
-	res.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the speedup report; it never feeds simulation state.
-
-	// Collection and leak-checked teardown.
 	for i, pt := range parts {
 		var served int64
 		for _, sa := range pt.agents {
 			served += sa.Stats.ServedBytes
 		}
-		res.Captures += len(pt.capFP)
 		res.SinkDelivered[i] = pt.sinkCount
 		res.ServedBytes += served
-		res.CtrlMessages += pt.def.MsgSent
-		res.partFPs = append(res.partFPs, fmt.Sprintf(
-			"part%d caps[%s] sink=%d:%016x served=%d ctrl=%d",
-			i, strings.Join(pt.capFP, ","), pt.sinkCount, pt.sinkHash, served, pt.def.MsgSent))
-		pt.def.Close()
-		res.Leak.DefenseState += pt.def.StateSize()
+		res.addPart(i, &pt.hbpPart, fmt.Sprintf("sink=%d:%016x served=%d", pt.sinkCount, pt.sinkHash, served))
 	}
-	res.QueueDrops = cl.TotalQueueDrops()
-	res.EventsFired = ss.Fired()
-	cl.Drain()
-	res.Leak.PacketsOutstanding = cl.PacketsOutstanding()
+	res.finish(ss, cl, defs)
 	return res, nil
 }
 
@@ -346,10 +290,7 @@ func ExtSharded(s Scale) (*Table, error) {
 	cfg := DefaultForestConfig()
 	cfg.Parts = 8
 	if s.Leaves > 0 {
-		cfg.LeavesPerPart = s.Leaves / 8
-		if cfg.LeavesPerPart < 10 {
-			cfg.LeavesPerPart = 10
-		}
+		cfg.LeavesPerPart = max(s.Leaves/8, 10)
 	}
 	if s.TimeFactor > 0 && s.TimeFactor != 1 {
 		cfg.Duration *= s.TimeFactor
@@ -362,6 +303,7 @@ func ExtSharded(s Scale) (*Table, error) {
 			"on this host's cores.",
 		Headers: []string{"shards", "parts", "events", "captures", "wall(s)", "speedup", "identical"},
 	}
+	cfg.Context = s.Ctx
 	var refFP string
 	var refWall time.Duration
 	for _, shards := range []int{1, 2, 4, 8} {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/des"
@@ -21,8 +22,9 @@ type SPIEPoint struct {
 
 // RunSPIE traces one spoofed packet per attacker through a tree with
 // background client traffic, for the given per-window filter size,
-// and scores the reconstructions.
-func RunSPIE(leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) {
+// and scores the reconstructions. A non-nil ctx cancels the run (see
+// TreeConfig.Context).
+func RunSPIE(ctx context.Context, leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) {
 	sim := des.New()
 	p := topology.DefaultParams()
 	p.Leaves = leaves
@@ -67,7 +69,7 @@ func RunSPIE(leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) 
 			a.Send(&netsim.Packet{Src: 55555, TrueSrc: a.ID, Dst: server.ID, Size: 777, Type: netsim.Data, Seq: probeSeq})
 		})
 	}
-	if err := sim.RunUntil(4); err != nil {
+	if err := runSim(ctx, sim, 4); err != nil {
 		return nil, err
 	}
 
@@ -99,10 +101,7 @@ func RunSPIE(leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) 
 // accurate reconstruction needs large per-router digest tables, while
 // honeypot back-propagation keeps only per-session counters.
 func ExtSPIE(scale Scale) (*Table, error) {
-	leaves := scale.Leaves
-	if leaves < 40 {
-		leaves = 40
-	}
+	leaves := max(scale.Leaves, 40)
 	n := leaves / 8
 	t := &Table{
 		Title: "Extension — SPIE single-packet traceback: storage vs accuracy",
@@ -111,7 +110,7 @@ func ExtSPIE(scale Scale) (*Table, error) {
 		Headers: []string{"bloom bits/window", "kbit/router", "correct", "ambiguous", "failed"},
 	}
 	for _, bits := range []int{1 << 9, 1 << 12, 1 << 16, 1 << 19} {
-		pt, err := RunSPIE(leaves, n, bits, 4)
+		pt, err := RunSPIE(scale.Ctx, leaves, n, bits, 4)
 		if err != nil {
 			return nil, err
 		}

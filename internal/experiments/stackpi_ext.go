@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/des"
@@ -22,8 +23,9 @@ type StackPiPoint struct {
 // RunStackPi measures StackPi filter accuracy on a tree with the
 // given number of dispersed attackers: train on each attacker's path
 // mark, then evaluate every client path and a second spoofed packet
-// per attacker.
-func RunStackPi(leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
+// per attacker. A non-nil ctx cancels the probes (see
+// TreeConfig.Context).
+func RunStackPi(ctx context.Context, leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
 	sim := des.New()
 	p := topology.DefaultParams()
 	p.Leaves = leaves
@@ -44,7 +46,7 @@ func RunStackPi(leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
 		sim.At(sim.Now(), func() {
 			leaf.Send(&netsim.Packet{Src: src, TrueSrc: leaf.ID, Dst: dst, Size: 100, Type: netsim.Data})
 		})
-		if err := sim.RunUntil(sim.Now() + 2); err != nil {
+		if err := runSim(ctx, sim, sim.Now()+2); err != nil {
 			return 0, err
 		}
 		if got < 0 {
@@ -93,10 +95,7 @@ func RunStackPi(leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
 // "deteriorates with a large number of dispersed attackers", in
 // contrast to HBP's exact honeypot signature.
 func ExtStackPi(scale Scale) (*Table, error) {
-	leaves := scale.Leaves
-	if leaves < 40 {
-		leaves = 40
-	}
+	leaves := max(scale.Leaves, 40)
 	t := &Table{
 		Title: "Extension — StackPi victim-side filter accuracy vs dispersed attackers",
 		Note: fmt.Sprintf("%d-leaf tree, 16-bit marks, 2 bits/hop; FP = legitimate traffic wrongly dropped "+
@@ -107,7 +106,7 @@ func ExtStackPi(scale Scale) (*Table, error) {
 		if n < 1 {
 			continue
 		}
-		pt, err := RunStackPi(leaves, n, 4)
+		pt, err := RunStackPi(scale.Ctx, leaves, n, 4)
 		if err != nil {
 			return nil, err
 		}

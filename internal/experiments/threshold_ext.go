@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -28,30 +29,23 @@ type ThresholdPoint struct {
 // RunThreshold measures the paper's false-positive trade-off
 // (Sec. 5.3): benign scanners probe the pool throughout; a real
 // attacker starts late. Low activation thresholds burn sessions on
-// scanner noise; high thresholds delay (or lose) the real capture.
-func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (*ThresholdPoint, error) {
+// scanner noise; high thresholds delay (or lose) the real capture. A
+// non-nil ctx cancels the run (see TreeConfig.Context).
+func RunThreshold(ctx context.Context, threshold int, scanners int, scannerGap float64, seed int64) (*ThresholdPoint, error) {
 	sim := des.New()
 	p := topology.DefaultParams()
 	p.Leaves = 40
 	p.Seed = seed
 	tr := topology.NewTree(sim, p)
-	pcfg := roaming.Config{
+	st, err := newHBP(tr.Net, tr.Servers, tr.Servers, roaming.Config{
 		N: p.Servers, K: 3, EpochLen: 10, Guard: 0.3, Epochs: 60,
 		ChainSeed: []byte(fmt.Sprintf("thr-%d", seed)),
-	}
-	pool, err := roaming.NewPool(sim, tr.Servers, pcfg)
+	}, tr.IsHost, core.Config{ActivationThreshold: threshold})
 	if err != nil {
 		return nil, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{ActivationThreshold: threshold})
-	if err != nil {
-		return nil, err
-	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
+	def := st.def
+	def.DeployAll(st.agents)
 
 	rng := des.NewRNG(seed)
 	attackHosts, rest := tr.PlaceAttackers(1, topology.Even, seed)
@@ -66,7 +60,7 @@ func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (
 		traffic.AttackerConfig{Rate: 2e5, Size: 500, SpoofSpace: spoof}, rng)
 	sim.At(attackStart, atk.Start)
 
-	pool.Start()
+	st.pool.Start()
 	pt := &ThresholdPoint{Threshold: threshold, CaptureTime: -1}
 	def.OnCapture = func(c core.Capture) {
 		if pt.CaptureTime < 0 {
@@ -86,7 +80,7 @@ func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (
 			}
 		}
 	})
-	if err := sim.RunUntil(600); err != nil {
+	if err := runSim(ctx, sim, 600); err != nil {
 		return nil, err
 	}
 	return pt, nil
@@ -104,7 +98,7 @@ func ExtThreshold(scale Scale) (*Table, error) {
 		Headers: []string{"threshold", "false activations", "wasted sessions", "capture time (s)"},
 	}
 	for _, thr := range []int{1, 3, 10, 50} {
-		pt, err := RunThreshold(thr, 10, 1.0, 5)
+		pt, err := RunThreshold(scale.Ctx, thr, 10, 1.0, 5)
 		if err != nil {
 			return nil, err
 		}

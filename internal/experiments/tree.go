@@ -77,21 +77,6 @@ type TreeResult struct {
 	Leak LeakReport
 }
 
-// LeakReport is the leak-checked teardown audit of one completed run.
-type LeakReport struct {
-	// PacketsOutstanding is netsim.Network.PacketsOutstanding after
-	// the drain: pool packets some handler or agent stranded past
-	// their terminal point.
-	PacketsOutstanding int64
-	// DefenseState is core.Defense.StateSize after Close: sessions,
-	// dedup entries or pending transfers that survived teardown (0 for
-	// non-HBP defenses).
-	DefenseState int
-}
-
-// Clean reports whether the teardown reclaimed everything.
-func (l LeakReport) Clean() bool { return l.PacketsOutstanding == 0 && l.DefenseState == 0 }
-
 // RunTree executes one tree scenario end to end.
 func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -111,20 +96,10 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		sim = ss.Shard(0)
 		runUntil = ss.RunUntil
 	}
-	if cfg.EventLimit > 0 {
-		sim.EventLimit = cfg.EventLimit
-	}
-	if cfg.Context != nil {
-		ctx := cfg.Context
-		sim.SetInterrupt(0, ctx.Err)
-	}
+	sim.EventLimit = cfg.EventLimit
+	sim.SetInterrupt(0, checkpoint(cfg.Context, 0, nil))
 	tr := topology.NewTree(sim, cfg.Topology)
 	rng := des.NewRNG(cfg.Seed)
-
-	pool, err := roaming.NewPool(sim, tr.Servers, cfg.Pool)
-	if err != nil {
-		return nil, err
-	}
 
 	attackHosts, clientHosts := tr.PlaceAttackers(cfg.NumAttackers, cfg.Placement, cfg.Seed)
 
@@ -140,21 +115,21 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	res := &TreeResult{Config: cfg}
 
 	// Server-side agents and the defense under test. hbpDef escapes the
-	// switch so the fault injector can wire crash hooks to it.
+	// switch so the fault injector can wire crash hooks to it; pool is
+	// set for the roaming defenses (HBP, StackPi).
 	var hbpDef *core.Defense
-	var serverAgents []*roaming.ServerAgent
+	var defs []*core.Defense
+	var pool *roaming.Pool
 	switch cfg.Defense {
 	case HBP:
-		for _, s := range tr.Servers {
-			serverAgents = append(serverAgents, roaming.NewServerAgent(pool, s))
-		}
-		def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{
+		st, err := newHBP(tr.Net, tr.Servers, tr.Servers, cfg.Pool, tr.IsHost, core.Config{
 			Progressive: cfg.Progressive, Reliable: cfg.Reliable, SessionLifetime: cfg.SessionLifetime,
 			EpochAuth: cfg.EpochAuth, Watchdog: cfg.Watchdog, Budget: cfg.Budget,
 		})
 		if err != nil {
 			return nil, err
 		}
+		pool, hbpDef, defs = st.pool, st.def, []*core.Defense{st.def}
 		if cfg.DeployFraction > 0 && cfg.DeployFraction < 1 {
 			asOf := tr.PartitionAS()
 			asIDs := map[int]bool{}
@@ -175,19 +150,18 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 			for i := 0; i < want && i < len(ids); i++ {
 				deployed[ids[i]] = true
 			}
-			def.DeployPerAS(tr.Routers, asOf, deployed)
-			for _, sa := range serverAgents {
-				def.AttachServer(sa)
+			hbpDef.DeployPerAS(tr.Routers, asOf, deployed)
+			for _, sa := range st.agents {
+				hbpDef.AttachServer(sa)
 			}
 		} else {
-			def.DeployAll(serverAgents)
+			hbpDef.DeployAll(st.agents)
 		}
 		if cfg.TraceCap > 0 {
-			def.Trace = trace.New(cfg.TraceCap)
-			res.Trace = def.Trace
+			hbpDef.Trace = trace.New(cfg.TraceCap)
+			res.Trace = hbpDef.Trace
 		}
-		def.OnCapture = func(c core.Capture) { res.Captures = append(res.Captures, c) }
-		hbpDef = def
+		hbpDef.OnCapture = func(c core.Capture) { res.Captures = append(res.Captures, c) }
 	case Pushback, PushbackLevelK:
 		defended := make([]netsim.NodeID, len(tr.Servers))
 		for i, s := range tr.Servers {
@@ -216,6 +190,10 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		// windows are the online training oracle — and the learned
 		// marks are filtered at the bottleneck head, the victim ISP's
 		// ingress firewall.
+		var err error
+		if pool, err = roaming.NewPool(sim, tr.Servers, cfg.Pool); err != nil {
+			return nil, err
+		}
 		marker := &stackpi.Marker{}
 		var marking []*netsim.Node
 		for _, r := range tr.Routers {
@@ -227,7 +205,6 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		filter := stackpi.NewFilter()
 		for _, s := range tr.Servers {
 			sa := roaming.NewServerAgent(pool, s)
-			serverAgents = append(serverAgents, sa)
 			sa.OnHoneypotPacket = func(p *netsim.Packet, in *netsim.Port) {
 				if p.Type == netsim.Data {
 					filter.Learn(p.Mark)
@@ -255,27 +232,30 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 
 	// Fault plan: installed after the defense so router crashes can be
 	// wired into its session cleanup. For non-HBP defenses crashes fall
-	// back to bare node blackholing.
-	if cfg.FaultCrashes > 0 {
-		plan := faults.Plan{Seed: cfg.Seed + 2000}
+	// back to bare node blackholing. Crashes and byzantine subversion
+	// hit mid-tree routers only: the root and the server gateway are
+	// single points whose loss disconnects the scenario rather than
+	// stressing the defense.
+	basePlan := func() faults.Plan {
 		if cfg.Faults != nil {
-			plan = *cfg.Faults
+			return *cfg.Faults
 		}
-		// Crash mid-tree routers only: the root and the server gateway
-		// are single points whose loss disconnects the scenario rather
-		// than stressing the defense.
-		var ids []netsim.NodeID
-		for _, r := range tr.Routers {
-			if r != tr.Root && r != tr.ServerGW {
-				ids = append(ids, r.ID)
-			}
+		return faults.Plan{Seed: cfg.Seed + 2000}
+	}
+	var midRouters []netsim.NodeID
+	for _, r := range tr.Routers {
+		if r != tr.Root && r != tr.ServerGW {
+			midRouters = append(midRouters, r.ID)
 		}
+	}
+	if cfg.FaultCrashes > 0 {
+		plan := basePlan()
 		restart := cfg.FaultRestartAfter
 		if restart <= 0 {
 			restart = 5
 		}
 		plan.Crashes = append(plan.Crashes,
-			faults.RandomCrashes(plan.Seed+7, ids, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, restart)...)
+			faults.RandomCrashes(plan.Seed+7, midRouters, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, restart)...)
 		cfg.Faults = &plan
 	}
 	// Byzantine routers (HBP only): subvert seeded mid-tree routers for
@@ -284,22 +264,13 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	// frames, and taps give them real frames to replay.
 	var byzAdapter *core.ByzantineAdapter
 	if cfg.ByzantineNodes > 0 && hbpDef != nil {
-		plan := faults.Plan{Seed: cfg.Seed + 2000}
-		if cfg.Faults != nil {
-			plan = *cfg.Faults
-		}
-		var ids []netsim.NodeID
-		for _, r := range tr.Routers {
-			if r != tr.Root && r != tr.ServerGW {
-				ids = append(ids, r.ID)
-			}
-		}
+		plan := basePlan()
 		rate := cfg.ByzantineRate
 		if rate <= 0 {
 			rate = 2
 		}
 		plan.Byzantine = append(plan.Byzantine,
-			faults.RandomByzantine(plan.Seed+11, ids, cfg.ByzantineNodes, rate, cfg.AttackStart, cfg.AttackEnd)...)
+			faults.RandomByzantine(plan.Seed+11, midRouters, cfg.ByzantineNodes, rate, cfg.AttackStart, cfg.AttackEnd)...)
 		cfg.Faults = &plan
 
 		serverIDs := make([]netsim.NodeID, len(tr.Servers))
@@ -383,15 +354,8 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 			a.Stop()
 		}
 	})
-	if err := runUntil(cfg.Duration); err != nil {
-		// Cancelled and event-limited runs still release their pooled
-		// resources before reporting the abort: the scenario service
-		// reuses the process for the next run.
-		if hbpDef != nil {
-			hbpDef.Close()
-		}
-		tr.Net.Drain()
-		return nil, fmt.Errorf("experiments: run aborted at t=%.1fs after %d events: %w", sim.Now(), sim.Fired(), err)
+	if _, err := runAudited(runUntil, cfg.Duration, sim.Now, sim.Fired, defs, tr.Net.Drain); err != nil {
+		return nil, err
 	}
 
 	res.Throughput = mon.Series()
@@ -425,10 +389,6 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	if byzAdapter != nil {
 		res.ByzantineInjected = byzAdapter.Injected
 	}
-	// Leak-checked teardown: collect every live gauge first (Close wipes
-	// the open-session count), then release defense state and drain the
-	// network so the pool audit sees a quiescent run. Leak must read
-	// clean — a supervised scenario run fails otherwise.
 	if hbpDef != nil {
 		res.Sec = hbpDef.Sec
 		res.PeakState = hbpDef.PeakState
@@ -436,10 +396,7 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		res.CtrlMessages = hbpDef.MsgSent
 		res.Ctrl = hbpDef.Ctrl
 		res.OpenSessionsAtEnd = hbpDef.OpenSessions()
-		hbpDef.Close()
-		res.Leak.DefenseState = hbpDef.StateSize()
 	}
-	tr.Net.Drain()
-	res.Leak.PacketsOutstanding = tr.Net.PacketsOutstanding()
+	res.Leak = teardown(defs, tr.Net.Drain, tr.Net.PacketsOutstanding)
 	return res, nil
 }
