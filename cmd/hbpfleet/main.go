@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -40,8 +41,8 @@ func main() {
 	drainTimeout := flag.Float64("drain-timeout", 60, "seconds to let in-flight leases report on shutdown")
 	flag.Parse()
 
-	var journal *fleet.Journal
-	var recovered []fleet.Entry
+	var journal *scenario.Journal
+	var recovered []scenario.Entry
 	if *journalPath != "" {
 		var err error
 		journal, recovered, err = fleet.OpenJournal(*journalPath)

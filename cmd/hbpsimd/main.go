@@ -147,21 +147,23 @@ func workerMode(coordinator, name string, capacity int, maxEvents uint64) int {
 	return 0
 }
 
-// resubmitInterrupted re-queues journal-recovered interrupted runs.
+// resubmitInterrupted re-queues journal-recovered interrupted runs:
+// the runs the replay left unfinished.
 func resubmitInterrupted(r *scenario.Runner, recovered []scenario.Entry, enabled bool) int {
 	if !enabled {
 		return 0
 	}
-	_, runs := scenario.Recover(recovered)
+	_, runs := scenario.Replay(recovered)
 	n := 0
-	for _, run := range runs {
-		if run.State == scenario.StateInterrupted {
-			if _, err := r.Resubmit(run.ID); err != nil {
-				log.Printf("resubmit %s: %v", run.ID, err)
-				continue
-			}
-			n++
+	for _, rp := range runs {
+		if rp.Run.State.Terminal() {
+			continue
 		}
+		if _, err := r.Resubmit(rp.Run.ID); err != nil {
+			log.Printf("resubmit %s: %v", rp.Run.ID, err)
+			continue
+		}
+		n++
 	}
 	return n
 }

@@ -3,9 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bounded"
@@ -15,7 +12,7 @@ import (
 // Config tunes the coordinator.
 type Config struct {
 	// QueueCap bounds the admission queue; a full queue rejects with
-	// ErrQueueFull (default 64). Internal re-queues after failover are
+	// scenario.ErrQueueFull (default 64). Internal re-queues after failover are
 	// exempt from the cap — admission control must never lose an
 	// already-admitted run.
 	QueueCap int
@@ -38,40 +35,20 @@ type Config struct {
 	// MaxWorkers caps the registry (default 64).
 	MaxWorkers int
 	// Journal, when non-nil, receives every assignment/completion.
-	Journal *Journal
+	Journal *scenario.Journal
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.LeaseDuration <= 0 {
-		c.LeaseDuration = 15 * time.Second
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.LeaseDuration / 4
-	}
-	if c.MaxDispatches <= 0 {
-		c.MaxDispatches = 5
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 64
-	}
+	scenario.AdmissionDefaults(&c.QueueCap, &c.MaxAttempts, &c.BackoffBase, &c.BackoffMax)
+	scenario.OrDefault(&c.LeaseDuration, 15*time.Second)
+	scenario.OrDefault(&c.SweepInterval, c.LeaseDuration/4)
+	scenario.OrDefault(&c.MaxDispatches, 5)
+	scenario.OrDefault(&c.MaxWorkers, 64)
 	return c
 }
 
 // runRec is the coordinator's per-run state: the client-visible run
-// plus its lease position. All fields are guarded by the coordinator
-// lock.
+// plus its lease position. All fields are guarded by Mu.
 type runRec struct {
 	run *scenario.Run
 
@@ -84,6 +61,16 @@ type runRec struct {
 	cancelReq   bool
 }
 
+// status snapshots a run for clients; the caller holds Mu.
+func (rec *runRec) status() RunStatus {
+	return RunStatus{
+		Run:         rec.run.Snapshot(),
+		Worker:      rec.worker,
+		Dispatches:  rec.dispatches,
+		SeedAttempt: rec.seedAttempt,
+	}
+}
+
 // workerRec is one registered worker.
 type workerRec struct {
 	info     WorkerInfo
@@ -94,21 +81,17 @@ type workerRec struct {
 // admission queue, a worker registry, leases with heartbeat renewal,
 // re-dispatch with backoff and budget, first-completion-wins dedup and
 // a crash-safe journal. See the package comment for the invariant it
-// maintains.
+// maintains. Suites, run IDs, admission and the client reads are the
+// embedded Registry's; its Mu guards every field below too.
 type Coordinator struct {
+	*scenario.Registry[*runRec, RunStatus]
 	cfg Config
 
-	mu         sync.Mutex
 	queue      *bounded.Queue[string] // fresh admissions (cap = QueueCap)
 	requeue    []string               // failover re-queues, FIFO, budget-bounded
-	runs       map[string]*runRec
-	suites     map[string]*scenario.Suite
 	workers    map[string]*workerRec
 	stats      Stats
-	nextSuite  int
-	nextRun    int
 	nextWorker int
-	draining   bool
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -117,67 +100,53 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator, replaying journaled history:
 // terminal runs are restored as-is and every orphaned in-flight or
 // queued run returns to the dispatch queue with its budget intact.
-func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
+func NewCoordinator(cfg Config, recovered []scenario.Entry) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
 		queue:   bounded.NewQueue[string](cfg.QueueCap),
-		runs:    map[string]*runRec{},
-		suites:  map[string]*scenario.Suite{},
 		workers: map[string]*workerRec{},
 	}
-	suiteNames, runs := recoverEntries(recoveredEntries)
-	for id, name := range suiteNames {
-		c.suites[id] = &scenario.Suite{ID: id, Name: name}
-		bumpCounter(&c.nextSuite, id)
-	}
-	for _, rec := range runs {
-		rr := &runRec{run: rec.run, dispatches: rec.dispatches, seedAttempt: rec.seedAttempt, cancelReq: rec.cancelReq}
-		if rr.seedAttempt <= 0 {
-			rr.seedAttempt = 1
-		}
-		c.runs[rec.run.ID] = rr
-		if s := c.suites[rec.run.Suite]; s != nil {
-			s.Runs = append(s.Runs, rec.run.ID)
-		}
-		bumpCounter(&c.nextRun, rec.run.ID)
-		if !rec.run.State.Terminal() {
+	c.Registry = scenario.NewRegistry(cfg.Journal, c.enqueueLocked, (*runRec).status)
+	c.Restore(recovered, func(rp *scenario.Replayed) *runRec {
+		c.stats.Admitted++
+		if rp.Run.State.Terminal() {
+			c.stats.Completed++
+		} else {
 			// Orphaned: the previous coordinator died holding it.
 			// Requeue rather than mark interrupted — the exactly-once
 			// dedup makes automatic resubmission safe, and a possibly
 			// still-running worker's late report will simply win or
 			// be ignored.
-			c.requeue = append(c.requeue, rec.run.ID)
-			c.stats.Admitted++
-		} else {
-			c.stats.Admitted++
-			c.stats.Completed++
+			c.requeue = append(c.requeue, rp.Run.ID)
 		}
-	}
+		return &runRec{run: rp.Run, dispatches: rp.Dispatches, seedAttempt: rp.SeedAttempt, cancelReq: rp.CancelReq}
+	})
 	return c
 }
 
-// bumpCounter advances an ID counter past a recovered "x-<n>" ID so
-// new IDs never collide with journaled ones.
-func bumpCounter(ctr *int, id string) {
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > *ctr {
-			*ctr = n
-		}
+// enqueueLocked queues an admitted run, counting the admission or the
+// rejection.
+func (c *Coordinator) enqueueLocked(run *scenario.Run) (*runRec, bool) {
+	if !c.queue.Push(run.ID) {
+		c.stats.RejectedFull++
+		return nil, false
 	}
+	c.stats.Admitted++
+	return &runRec{run: run, seedAttempt: 1}, true
 }
 
 // Start launches the lease sweeper.
 func (c *Coordinator) Start() {
-	c.mu.Lock()
+	c.Mu.Lock()
 	if c.sweepStop != nil {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return
 	}
 	c.sweepStop = make(chan struct{})
 	c.sweepDone = make(chan struct{})
 	stop, done := c.sweepStop, c.sweepDone
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	go func() {
 		defer close(done)
 		t := time.NewTicker(c.cfg.SweepInterval)
@@ -195,10 +164,10 @@ func (c *Coordinator) Start() {
 
 // Stop halts the lease sweeper (idempotent).
 func (c *Coordinator) Stop() {
-	c.mu.Lock()
+	c.Mu.Lock()
 	stop, done := c.sweepStop, c.sweepDone
 	c.sweepStop, c.sweepDone = nil, nil
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
@@ -207,71 +176,6 @@ func (c *Coordinator) Stop() {
 
 // ---- client API ----
 
-// CreateSuite registers a named suite and journals it.
-func (c *Coordinator) CreateSuite(name string) (*scenario.Suite, error) {
-	if name == "" {
-		return nil, fmt.Errorf("fleet: suite has no name")
-	}
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return nil, ErrDraining
-	}
-	c.nextSuite++
-	s := &scenario.Suite{ID: fmt.Sprintf("s-%d", c.nextSuite), Name: name}
-	c.suites[s.ID] = s
-	c.mu.Unlock()
-	if err := c.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Submit validates and admits one case under the suite. A full queue
-// returns ErrQueueFull — 503 + Retry-After at the HTTP layer.
-func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus, error) {
-	if err := spec.Validate(); err != nil {
-		return RunStatus{}, err
-	}
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return RunStatus{}, ErrDraining
-	}
-	s := c.suites[suiteID]
-	if s == nil {
-		c.mu.Unlock()
-		return RunStatus{}, fmt.Errorf("fleet: no suite %q", suiteID)
-	}
-	run := &scenario.Run{
-		ID:          fmt.Sprintf("r-%d", c.nextRun+1),
-		Suite:       suiteID,
-		Spec:        spec,
-		State:       scenario.StateQueued,
-		SubmittedAt: time.Now(),
-	}
-	if !c.queue.Push(run.ID) {
-		c.stats.RejectedFull++
-		c.mu.Unlock()
-		return RunStatus{}, ErrQueueFull
-	}
-	c.nextRun++
-	rec := &runRec{run: run, seedAttempt: 1}
-	c.runs[run.ID] = rec
-	s.Runs = append(s.Runs, run.ID)
-	c.stats.Admitted++
-	status := c.statusLocked(rec)
-	c.mu.Unlock()
-
-	if err := c.cfg.Journal.Record(Entry{
-		Type: EntrySubmitted, Time: run.SubmittedAt,
-		Suite: suiteID, Run: run.ID, Spec: &spec,
-	}); err != nil {
-		return RunStatus{}, err
-	}
-	return status, nil
-}
-
 // Cancel stops a run: queued runs terminate immediately; leased runs
 // get DirectiveAbort on their next heartbeat and finalize as cancelled
 // when the worker reports — or at lease expiry if it never does. The
@@ -279,14 +183,14 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 // acknowledged cancel survives a coordinator restart instead of the
 // run silently re-executing. Cancelling a terminal run is a no-op.
 func (c *Coordinator) Cancel(runID string) error {
-	c.mu.Lock()
-	rec := c.runs[runID]
+	c.Mu.Lock()
+	rec := c.Runs[runID]
 	if rec == nil {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return fmt.Errorf("fleet: no run %q", runID)
 	}
 	if rec.run.State.Terminal() {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil
 	}
 	if rec.worker == "" { // queued
@@ -294,94 +198,44 @@ func (c *Coordinator) Cancel(runID string) error {
 			State: scenario.StateCancelled,
 			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: "cancelled while queued"},
 		}, "")
-		c.mu.Unlock()
-		return c.cfg.Journal.Record(entry)
+		c.Mu.Unlock()
+		return c.Journal.Record(entry)
 	}
 	rec.cancelReq = true
-	entry := Entry{
-		Type: EntryCancelRequested, Time: time.Now(),
+	entry := scenario.Entry{
+		Type: scenario.EntryCancelRequested, Time: time.Now(),
 		Suite: rec.run.Suite, Run: runID,
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	// Journal before acknowledging: an acked cancel living only in
 	// memory would vanish with a coordinator crash, and recovery would
 	// requeue and re-execute a run the client was told is stopping.
-	return c.cfg.Journal.Record(entry)
-}
-
-// GetRun returns a snapshot of the run.
-func (c *Coordinator) GetRun(id string) (RunStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec := c.runs[id]
-	if rec == nil {
-		return RunStatus{}, false
-	}
-	return c.statusLocked(rec), true
-}
-
-// GetSuite returns the suite and snapshots of its runs.
-func (c *Coordinator) GetSuite(id string) (scenario.Suite, []RunStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.suites[id]
-	if s == nil {
-		return scenario.Suite{}, nil, false
-	}
-	runs := make([]RunStatus, 0, len(s.Runs))
-	for _, rid := range s.Runs {
-		if rec := c.runs[rid]; rec != nil {
-			runs = append(runs, c.statusLocked(rec))
-		}
-	}
-	return *s, runs, true
-}
-
-// Suites lists all suites.
-func (c *Coordinator) Suites() []scenario.Suite {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]scenario.Suite, 0, len(c.suites))
-	for _, s := range c.suites {
-		out = append(out, *s)
-	}
-	return out
+	return c.Journal.Record(entry)
 }
 
 // Stats returns a copy of the accounting counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return c.stats
 }
 
 // Health returns the coordinator's schedulability snapshot.
 func (c *Coordinator) Health() Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	inFlight := 0
-	for _, rec := range c.runs {
+	for _, rec := range c.Runs {
 		if rec.run.State == scenario.StateRunning {
 			inFlight++
 		}
 	}
-	return Health{
+	return Health{Health: scenario.Health{
 		QueueDepth: c.queue.Len() + len(c.requeue),
 		QueueCap:   c.queue.Cap(),
 		InFlight:   inFlight,
-		Workers:    len(c.workers),
-		Draining:   c.draining,
-	}
-}
-
-// statusLocked snapshots a run under the coordinator lock.
-func (c *Coordinator) statusLocked(rec *runRec) RunStatus {
-	return RunStatus{
-		Run:         rec.run.Snapshot(),
-		Worker:      rec.worker,
-		Dispatches:  rec.dispatches,
-		SeedAttempt: rec.seedAttempt,
-	}
+		Draining:   c.Draining,
+	}, Workers: len(c.workers)}
 }
 
 // ---- worker API ----
@@ -394,10 +248,10 @@ func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 	if info.Capacity <= 0 {
 		info.Capacity = 1
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return "", ErrDraining
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	if c.Draining {
+		return "", scenario.ErrDraining
 	}
 	if len(c.workers) >= c.cfg.MaxWorkers {
 		return "", ErrFleetFull
@@ -413,19 +267,19 @@ func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 // is at capacity).
 func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 	now := time.Now()
-	c.mu.Lock()
+	c.Mu.Lock()
 	w := c.workers[workerID]
 	if w == nil {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil, ErrUnknownWorker
 	}
-	if c.draining || w.inFlight >= w.info.Capacity {
-		c.mu.Unlock()
+	if c.Draining || w.inFlight >= w.info.Capacity {
+		c.Mu.Unlock()
 		return nil, nil
 	}
 	rec := c.nextEligibleLocked(now)
 	if rec == nil {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil, nil
 	}
 	if rec.cancelReq {
@@ -435,8 +289,8 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 			State: scenario.StateCancelled,
 			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: "cancel requested before coordinator restart"},
 		}, "")
-		c.mu.Unlock()
-		if err := c.cfg.Journal.Record(entry); err != nil {
+		c.Mu.Unlock()
+		if err := c.Journal.Record(entry); err != nil {
 			return nil, err
 		}
 		return c.Lease(workerID)
@@ -455,27 +309,27 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 		Spec:        rec.run.Spec,
 		Dispatch:    rec.dispatch,
 		SeedAttempt: rec.seedAttempt,
-		BaseSeed:    baseSeed(&rec.run.Spec),
+		BaseSeed:    rec.run.Spec.BaseSeed(),
 		LeaseMillis: c.cfg.LeaseDuration.Milliseconds(),
 	}
-	entry := Entry{
-		Type: EntryDispatched, Time: now,
+	entry := scenario.Entry{
+		Type: scenario.EntryDispatched, Time: now,
 		Suite: rec.run.Suite, Run: rec.run.ID,
 		Worker: workerID, Dispatch: rec.dispatch, SeedAttempt: rec.seedAttempt,
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	// Journal before the assignment leaves the coordinator: a crash
 	// after the worker starts but before the dispatch is durable
 	// would otherwise recover the run as never-dispatched *and* let a
 	// late completion for it arrive — still deduplicated, but the
 	// budget accounting would be blind to the lease.
-	if err := c.cfg.Journal.Record(entry); err != nil {
+	if err := c.Journal.Record(entry); err != nil {
 		// Undo the grant; the run returns to the queue.
-		c.mu.Lock()
+		c.Mu.Lock()
 		c.releaseLeaseLocked(rec)
 		rec.run.State = scenario.StateQueued
 		c.requeue = append(c.requeue, rec.run.ID)
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil, err
 	}
 	return a, nil
@@ -487,7 +341,7 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 // a late report — are skipped and dropped.
 func (c *Coordinator) nextEligibleLocked(now time.Time) *runRec {
 	for i, id := range c.requeue {
-		rec := c.runs[id]
+		rec := c.Runs[id]
 		if rec == nil || rec.run.State.Terminal() || rec.worker != "" {
 			c.requeue = append(c.requeue[:i], c.requeue[i+1:]...)
 			return c.nextEligibleLocked(now)
@@ -503,7 +357,7 @@ func (c *Coordinator) nextEligibleLocked(now time.Time) *runRec {
 		if !ok {
 			return nil
 		}
-		rec := c.runs[id]
+		rec := c.Runs[id]
 		if rec == nil || rec.run.State.Terminal() || rec.worker != "" {
 			continue
 		}
@@ -516,9 +370,9 @@ func (c *Coordinator) nextEligibleLocked(now time.Time) *runRec {
 // DirectiveAbort: the worker's work can no longer be accepted under
 // that lease, so it should stop and discard.
 func (c *Coordinator) Heartbeat(workerID, runID string, dispatch int) (Directive, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec := c.runs[runID]
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	rec := c.Runs[runID]
 	if rec == nil {
 		return DirectiveAbort, nil
 	}
@@ -537,21 +391,21 @@ func (c *Coordinator) Heartbeat(workerID, runID string, dispatch int) (Directive
 // re-dispatched copy) are counted as duplicates and acknowledged
 // without effect, which is what makes re-dispatch safe.
 func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome) error {
-	c.mu.Lock()
-	rec := c.runs[runID]
+	c.Mu.Lock()
+	rec := c.Runs[runID]
 	if rec == nil {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return ErrUnknownRun
 	}
 	if rec.run.State.Terminal() {
 		c.stats.DuplicateCompletions++
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil
 	}
 	switch out.State {
 	case scenario.StatePassed, scenario.StateFailed, scenario.StateCancelled:
 	default:
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return fmt.Errorf("fleet: non-terminal outcome state %q for run %s", out.State, runID)
 	}
 
@@ -564,7 +418,7 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	stale := rec.worker != workerID || rec.dispatch != dispatch
 	if stale && out.State == scenario.StateCancelled && !rec.cancelReq {
 		c.stats.DuplicateCompletions++
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil
 	}
 
@@ -576,43 +430,32 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 		c.releaseLeaseLocked(rec)
 		rec.seedAttempt++
 		rec.run.State = scenario.StateQueued
-		rec.notBefore = time.Now().Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, baseSeed(&rec.run.Spec), rec.seedAttempt))
+		rec.notBefore = time.Now().Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.seedAttempt))
 		c.requeue = append(c.requeue, rec.run.ID)
 		c.stats.InfraRetries++
-		entry := Entry{
-			Type: EntryRequeued, Time: time.Now(),
+		entry := scenario.Entry{
+			Type: scenario.EntryRequeued, Time: time.Now(),
 			Suite: rec.run.Suite, Run: rec.run.ID,
 			Worker: workerID, Dispatch: dispatch, SeedAttempt: rec.seedAttempt,
 			Reason: "infra-retry",
 		}
-		c.mu.Unlock()
-		return c.cfg.Journal.Record(entry)
+		c.Mu.Unlock()
+		return c.Journal.Record(entry)
 	}
 
 	entry := c.finalizeLocked(rec, out, workerID)
-	c.mu.Unlock()
-	return c.cfg.Journal.Record(entry)
+	c.Mu.Unlock()
+	return c.Journal.Record(entry)
 }
 
 // finalizeLocked commits a terminal state and builds its journal
 // entry. Caller holds the lock and must Record the returned entry
 // after unlocking.
-func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string) Entry {
+func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string) scenario.Entry {
 	c.releaseLeaseLocked(rec)
-	rec.run.State = out.State
-	rec.run.Error = out.Error
-	rec.run.Result = out.Result
-	rec.run.FinishedAt = time.Now()
 	c.stats.Completed++
-	e := Entry{
-		Type: EntryCompleted, Time: rec.run.FinishedAt,
-		Suite: rec.run.Suite, Run: rec.run.ID,
-		Worker: workerID, Dispatch: rec.dispatch,
-		State: out.State, Error: out.Error,
-	}
-	if out.Result != nil {
-		e.Fingerprint = out.Result.Fingerprint
-	}
+	e := c.FinishLocked(rec.run, scenario.EntryCompleted, out)
+	e.Worker, e.Dispatch = workerID, rec.dispatch
 	return e
 }
 
@@ -634,9 +477,9 @@ func (c *Coordinator) releaseLeaseLocked(rec *runRec) {
 // exponential backoff. The sweeper calls it on a ticker; tests may
 // call it directly.
 func (c *Coordinator) ExpireLeases(now time.Time) {
-	c.mu.Lock()
-	var entries []Entry
-	for _, rec := range c.runs {
+	c.Mu.Lock()
+	var entries []scenario.Entry
+	for _, rec := range c.Runs {
 		if rec.worker == "" || rec.run.State.Terminal() || now.Before(rec.leaseExpiry) {
 			continue
 		}
@@ -666,20 +509,20 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 			worker := rec.worker
 			c.releaseLeaseLocked(rec)
 			rec.run.State = scenario.StateQueued
-			rec.notBefore = now.Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, baseSeed(&rec.run.Spec), rec.dispatches))
+			rec.notBefore = now.Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.dispatches))
 			c.requeue = append(c.requeue, rec.run.ID)
 			c.stats.Redispatches++
-			entries = append(entries, Entry{
-				Type: EntryRequeued, Time: now,
+			entries = append(entries, scenario.Entry{
+				Type: scenario.EntryRequeued, Time: now,
 				Suite: rec.run.Suite, Run: rec.run.ID,
 				Worker: worker, Dispatch: rec.dispatches, SeedAttempt: rec.seedAttempt,
 				Reason: "lease-expired",
 			})
 		}
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	for _, e := range entries {
-		c.cfg.Journal.Record(e) //nolint:errcheck // in-memory state already moved on; the journal is best-effort here
+		c.Journal.Record(e) //nolint:errcheck // in-memory state already moved on; the journal is best-effort here
 	}
 }
 
@@ -689,18 +532,18 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 // generation requeues them — drain returns unfinished work to the
 // queue rather than losing or failing it.
 func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+	c.Mu.Lock()
+	c.Draining = true
+	c.Mu.Unlock()
 	for {
-		c.mu.Lock()
+		c.Mu.Lock()
 		inFlight := 0
-		for _, rec := range c.runs {
+		for _, rec := range c.Runs {
 			if rec.worker != "" && !rec.run.State.Terminal() {
 				inFlight++
 			}
 		}
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		if inFlight == 0 {
 			c.Stop()
 			return nil
@@ -712,13 +555,4 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-}
-
-// baseSeed resolves a spec's base scenario seed, the same rule the
-// local runner applies.
-func baseSeed(spec *scenario.CaseSpec) int64 {
-	if spec.Tree != nil && spec.Tree.Seed != 0 {
-		return spec.Tree.Seed
-	}
-	return 1
 }

@@ -350,7 +350,7 @@ func TestCancel(t *testing.T) {
 }
 
 // TestQueueFullRejects: admission control bounces the overflow with
-// ErrQueueFull and counts it; nothing admitted is ever bounced.
+// scenario.ErrQueueFull and counts it; nothing admitted is ever bounced.
 func TestQueueFullRejects(t *testing.T) {
 	cfg := fastCfg()
 	cfg.QueueCap = 1
@@ -361,8 +361,8 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Submit(suite.ID, quickCase("b", 2))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("expected ErrQueueFull, got %v", err)
+	if !errors.Is(err, scenario.ErrQueueFull) {
+		t.Fatalf("expected scenario.ErrQueueFull, got %v", err)
 	}
 	if s := c.Stats(); s.RejectedFull != 1 || s.Admitted != 1 {
 		t.Fatalf("stats: %+v", s)
@@ -382,14 +382,14 @@ func TestDrainStopsAdmissions(t *testing.T) {
 	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(suite.ID, quickCase("late", 1)); !errors.Is(err, ErrDraining) {
-		t.Fatalf("expected ErrDraining, got %v", err)
+	if _, err := c.Submit(suite.ID, quickCase("late", 1)); !errors.Is(err, scenario.ErrDraining) {
+		t.Fatalf("expected scenario.ErrDraining, got %v", err)
 	}
-	if _, err := c.CreateSuite("late"); !errors.Is(err, ErrDraining) {
-		t.Fatalf("expected ErrDraining, got %v", err)
+	if _, err := c.CreateSuite("late"); !errors.Is(err, scenario.ErrDraining) {
+		t.Fatalf("expected scenario.ErrDraining, got %v", err)
 	}
-	if _, err := c.Register(WorkerInfo{Name: "late"}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("expected ErrDraining, got %v", err)
+	if _, err := c.Register(WorkerInfo{Name: "late"}); !errors.Is(err, scenario.ErrDraining) {
+		t.Fatalf("expected scenario.ErrDraining, got %v", err)
 	}
 	if h := c.Health(); !h.Draining || h.Ready() {
 		t.Fatalf("health: %+v", h)

@@ -29,10 +29,15 @@
 //     a duplicate, not a second completion. Determinism makes this
 //     safe — both reports carry the same fingerprint.
 //   - Crash-safe journal. Assignments and completions are journaled
-//     in the internal/jsonl format before they are acknowledged; a
-//     restarted coordinator replays the journal, restores terminal
-//     runs, and requeues every orphaned in-flight run with its
-//     dispatch budget intact.
+//     in the scenario journal (scenario.Entry) before they are
+//     acknowledged; a restarted coordinator replays it with
+//     scenario.Replay, restores terminal runs, and requeues every
+//     orphaned in-flight run with its dispatch budget intact.
+//
+// What the coordinator shares with the single daemon it does not
+// repeat: it embeds a scenario.Registry (suites, run IDs, admission,
+// client reads), serves the client routes through scenario.Routes,
+// and its workers run each attempt under scenario.RunAttempt.
 //
 // The package is a wall-clock supervisor around the deterministic
 // simulator, like internal/scenario: leases, backoff and journal
@@ -47,13 +52,6 @@ import (
 
 	"repro/internal/scenario"
 )
-
-// ErrQueueFull is the admission-control rejection: the submission
-// queue is at capacity; the HTTP layer maps it to 503 + Retry-After.
-var ErrQueueFull = errors.New("fleet: submission queue full")
-
-// ErrDraining rejects submissions and leases during shutdown.
-var ErrDraining = errors.New("fleet: coordinator is draining")
 
 // ErrUnknownWorker tells a worker its registration is gone — the
 // coordinator restarted or evicted it — and it must re-register.
@@ -93,7 +91,8 @@ type Assignment struct {
 	// 1 — the common and every-failover case — runs the base seed
 	// unchanged, so the result is bit-identical to a solo run.
 	SeedAttempt int `json:"seed_attempt"`
-	// BaseSeed is the resolved base seed of the spec.
+	// BaseSeed is the resolved base seed of the spec
+	// (CaseSpec.BaseSeed), which RunAttempt derives again from Spec.
 	BaseSeed int64 `json:"base_seed"`
 	// LeaseMillis is the granted lease duration; the worker should
 	// heartbeat a few times per lease.
@@ -112,14 +111,11 @@ const (
 )
 
 // Outcome is a worker's terminal report for one dispatch.
-type Outcome struct {
-	// State is passed, failed or cancelled.
-	State scenario.State `json:"state"`
-	// Error is set for failed/cancelled outcomes.
-	Error *scenario.RunError `json:"error,omitempty"`
-	// Result is set for passed outcomes.
-	Result *scenario.CaseResult `json:"result,omitempty"`
-}
+type Outcome = scenario.Outcome
+
+// OpenJournal opens the coordinator's journal, the scenario service's
+// one journal format.
+var OpenJournal = scenario.OpenJournal
 
 // RunStatus is a run snapshot plus its fleet position.
 type RunStatus struct {
@@ -157,16 +153,16 @@ type Stats struct {
 	WorkersLost int64 `json:"workers_lost"`
 }
 
-// Health is the coordinator's schedulability snapshot.
+// Health is the coordinator's schedulability snapshot: the service
+// snapshot plus the registered worker count.
 type Health struct {
-	QueueDepth int  `json:"queue"`
-	QueueCap   int  `json:"queue_cap"`
-	InFlight   int  `json:"in_flight"`
-	Workers    int  `json:"workers"`
-	Draining   bool `json:"draining"`
+	scenario.Health
+	Workers int `json:"workers"`
 }
 
-// Ready reports whether the coordinator can accept a submission.
-func (h Health) Ready() bool {
-	return !h.Draining && h.QueueDepth < h.QueueCap
+// Liveness is the healthz body, with the worker count.
+func (h Health) Liveness() map[string]any {
+	m := h.Health.Liveness()
+	m["workers"] = h.Workers
+	return m
 }

@@ -17,7 +17,7 @@ import (
 // real crash loses both together, so clients never observe the gap),
 // which means a test that simulates a crash by closing the journal
 // must anchor on the durable record, not the in-memory snapshot.
-func waitJournaled(t *testing.T, path string, typ EntryType, runID string) {
+func waitJournaled(t *testing.T, path string, typ scenario.EntryType, runID string) {
 	t.Helper()
 	needle := `"type":"` + string(typ) + `"`
 	run := `"run":"` + runID + `"`
@@ -81,7 +81,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJournaled(t, path, EntryDispatched, orphan.ID)
+	waitJournaled(t, path, scenario.EntryDispatched, orphan.ID)
 
 	// Run 3 never leaves the queue.
 	queued, err := c1.Submit(suite.ID, quickCase("queued", 23))
@@ -179,12 +179,12 @@ func TestCancelRequestSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJournaled(t, path, EntryDispatched, st.ID)
+	waitJournaled(t, path, scenario.EntryDispatched, st.ID)
 	if err := c1.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
 	// The acknowledgement must already be durable when Cancel returns.
-	waitJournaled(t, path, EntryCancelRequested, st.ID)
+	waitJournaled(t, path, scenario.EntryCancelRequested, st.ID)
 
 	// Crash: no drain, no abort delivered to the wedged worker.
 	c1.Stop()
@@ -222,7 +222,7 @@ func TestCancelRequestSurvivesRestart(t *testing.T) {
 		t.Fatalf("run error after restart: %+v", got.Error)
 	}
 	// The finalization is journaled too, so a third generation agrees.
-	waitJournaled(t, path, EntryCompleted, st.ID)
+	waitJournaled(t, path, scenario.EntryCompleted, st.ID)
 }
 
 // TestFleetJournalTornTail: a crash can tear the last record and leave
@@ -235,16 +235,16 @@ func TestFleetJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := quickCase("case", 31)
-	must := func(e Entry) {
+	must := func(e scenario.Entry) {
 		t.Helper()
 		if err := journal.Record(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(Entry{Type: EntrySuite, Time: time.Now(), Suite: "s-1", SuiteName: "torn"})
-	must(Entry{Type: EntrySubmitted, Time: time.Now(), Suite: "s-1", Run: "r-1", Spec: &spec})
-	must(Entry{Type: EntryDispatched, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1})
-	must(Entry{Type: EntryCompleted, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "feedface"})
+	must(scenario.Entry{Type: scenario.EntrySuite, Time: time.Now(), Suite: "s-1", SuiteName: "torn"})
+	must(scenario.Entry{Type: scenario.EntrySubmitted, Time: time.Now(), Suite: "s-1", Run: "r-1", Spec: &spec})
+	must(scenario.Entry{Type: scenario.EntryDispatched, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1})
+	must(scenario.Entry{Type: scenario.EntryCompleted, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "feedface"})
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,13 +296,13 @@ func TestFleetJournalTornTail(t *testing.T) {
 func TestFleetJournalDuplicateCompletion(t *testing.T) {
 	spec := quickCase("case", 32)
 	now := time.Now()
-	entries := []Entry{
-		{Type: EntrySuite, Time: now, Suite: "s-1", SuiteName: "dup"},
-		{Type: EntrySubmitted, Time: now, Suite: "s-1", Run: "r-1", Spec: &spec},
-		{Type: EntryDispatched, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1},
-		{Type: EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "aaaa"},
+	entries := []scenario.Entry{
+		{Type: scenario.EntrySuite, Time: now, Suite: "s-1", SuiteName: "dup"},
+		{Type: scenario.EntrySubmitted, Time: now, Suite: "s-1", Run: "r-1", Spec: &spec},
+		{Type: scenario.EntryDispatched, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1},
+		{Type: scenario.EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "aaaa"},
 		// A replayed, conflicting completion must not win.
-		{Type: EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-2", Dispatch: 2, State: scenario.StateFailed},
+		{Type: scenario.EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-2", Dispatch: 2, State: scenario.StateFailed},
 	}
 	c := NewCoordinator(fastCfg(), entries)
 	got, ok := c.GetRun("r-1")
@@ -314,5 +314,51 @@ func TestFleetJournalDuplicateCompletion(t *testing.T) {
 	}
 	if s := c.Stats(); s.Completed != 1 {
 		t.Fatalf("stats count the run twice: %+v", s)
+	}
+}
+
+// TestFleetJournalReplayOrder: Submit journals a run's submitted
+// record after releasing the coordinator lock, so a worker can lease
+// the run — and even complete it — with those records landing first.
+// Replay must keep them: a run dispatched before its submitted record
+// keeps its consumed dispatch budget, and one completed before it
+// replays as passed with its fingerprint instead of being re-run. The
+// fixture is written byte for byte in the journal format hbpfleet has
+// always written.
+func TestFleetJournalReplayOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	lines := []string{
+		`{"type":"suite","time":"2026-01-02T03:04:05Z","suite":"s-1","suite_name":"fast"}`,
+		`{"type":"dispatched","time":"2026-01-02T03:04:06Z","suite":"s-1","run":"r-1","worker":"w-1","dispatch":1,"seed_attempt":1}`,
+		`{"type":"submitted","time":"2026-01-02T03:04:05Z","suite":"s-1","run":"r-1","spec":{"name":"leased","tree":{"leaves":40,"duration":20,"seed":33}}}`,
+		`{"type":"dispatched","time":"2026-01-02T03:04:07Z","suite":"s-1","run":"r-2","worker":"w-2","dispatch":1,"seed_attempt":1}`,
+		`{"type":"completed","time":"2026-01-02T03:04:08Z","suite":"s-1","run":"r-2","worker":"w-2","dispatch":1,"state":"passed","fingerprint":"cafe"}`,
+		`{"type":"submitted","time":"2026-01-02T03:04:06Z","suite":"s-1","run":"r-2","spec":{"name":"done","tree":{"leaves":40,"duration":20,"seed":34}}}`,
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, entries, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal.Close()
+	if len(entries) != len(lines) {
+		t.Fatalf("read %d of %d journal lines", len(entries), len(lines))
+	}
+
+	c := NewCoordinator(fastCfg(), entries)
+	if got, ok := c.GetRun("r-1"); !ok || got.State != scenario.StateQueued || got.Dispatches < 1 {
+		t.Fatalf("dispatched-before-submitted run = %+v (ok=%v), want queued with Dispatches >= 1", got, ok)
+	}
+	got, ok := c.GetRun("r-2")
+	if !ok || got.State != scenario.StatePassed || got.Result == nil || got.Result.Fingerprint != "cafe" {
+		t.Fatalf("completed-before-submitted run = %+v (ok=%v), want passed with its fingerprint", got, ok)
+	}
+	if s := c.Stats(); s.Admitted != 2 || s.Completed != 1 {
+		t.Fatalf("stats after replay: %+v, want 2 admitted and 1 completed", s)
+	}
+	if h := c.Health(); h.QueueDepth != 1 {
+		t.Fatalf("replay requeued %d runs, want only the unfinished one", h.QueueDepth)
 	}
 }

@@ -146,7 +146,7 @@ func TestChaosSoak(t *testing.T) {
 	// records land after the in-memory state flips terminal, so wait
 	// for each before severing the journal.
 	for _, id := range ids {
-		waitJournaled(t, path, EntryCompleted, id)
+		waitJournaled(t, path, scenario.EntryCompleted, id)
 	}
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)

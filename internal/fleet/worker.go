@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -32,7 +31,8 @@ type WorkerConfig struct {
 	// MaxEvents caps simulated events per attempt (0: no cap).
 	MaxEvents uint64
 	// WallDeadline is the default per-attempt wall-clock deadline
-	// (default 120 s), the same default the standalone daemon applies.
+	// (default scenario.DefaultWallDeadline, as in the standalone
+	// daemon).
 	WallDeadline time.Duration
 	// Faults, when non-nil, injects crash/hang/slow faults into this
 	// worker's executions — test-only chaos.
@@ -43,15 +43,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Name == "" {
 		c.Name = "worker"
 	}
-	if c.Capacity <= 0 {
-		c.Capacity = 1
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * time.Millisecond
-	}
-	if c.WallDeadline <= 0 {
-		c.WallDeadline = 120 * time.Second
-	}
+	scenario.OrDefault(&c.Capacity, 1)
+	scenario.OrDefault(&c.PollInterval, 50*time.Millisecond)
+	scenario.OrDefault(&c.WallDeadline, scenario.DefaultWallDeadline)
 	return c
 }
 
@@ -140,11 +134,11 @@ func (w *Worker) slot(ctx context.Context) {
 }
 
 // execute runs one assignment under its lease: a heartbeat loop keeps
-// the lease alive (and watches for DirectiveAbort), the deterministic
-// executor does the work, and the outcome is reported once. Injected
-// faults divert the flow: crash kills the worker before execution,
-// hang holds the lease forever without heartbeats, slow withholds the
-// completion past the lease.
+// the lease alive (and watches for DirectiveAbort), scenario.RunAttempt
+// runs the assignment's seed attempt, and the outcome is reported
+// once. Injected faults divert the flow: crash kills the worker before
+// execution, hang holds the lease forever without heartbeats, slow
+// withholds the completion past the lease.
 func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	fault := w.cfg.Faults.Draw(w.cfg.Name, a.Run, a.Dispatch)
 	switch fault.Kind {
@@ -165,13 +159,13 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Heartbeat a few times per lease; abort directives cancel the
-	// attempt.
+	// Heartbeat a few times per lease; an abort directive cancels the
+	// attempt, which RunAttempt then reports as a cancellation the
+	// coordinator can recognise as stale — not a spurious run failure.
 	hbEvery := time.Duration(a.LeaseMillis) * time.Millisecond / 3
 	if hbEvery <= 0 {
 		hbEvery = time.Second
 	}
-	var aborted atomic.Bool
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
@@ -188,7 +182,6 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 			case <-t.C:
 				d, err := w.coord.Heartbeat(w.id, a.Run, a.Dispatch)
 				if err == nil && d == DirectiveAbort {
-					aborted.Store(true)
 					cancel()
 					return
 				}
@@ -196,41 +189,9 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		}
 	}()
 
-	seed := scenario.AttemptSeed(a.BaseSeed, a.SeedAttempt)
-	maxEvents := a.Spec.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = w.cfg.MaxEvents
-	}
-	var res *scenario.CaseResult
-	var err error
-	if (faults.InfraCrash{Prob: a.Spec.InfraCrashProb}).Roll(seed) {
-		// The same per-seed infrastructure-crash roll the local runner
-		// makes, so fleet execution reports the identical infra faults
-		// a solo run would hit — and the coordinator's seed-advancing
-		// retry takes over from there.
-		err = faults.ErrInfraCrash
-	} else {
-		attemptCtx, attemptCancel := context.WithTimeout(runCtx, a.Spec.WallDeadline(w.cfg.WallDeadline))
-		res, err = scenario.ExecuteAttempt(attemptCtx, &a.Spec, seed, maxEvents)
-		attemptCancel()
-	}
+	out := scenario.RunAttempt(runCtx, &a.Spec, a.SeedAttempt, w.cfg.WallDeadline, w.cfg.MaxEvents)
 	cancel()
 	hbWG.Wait()
-
-	var out Outcome
-	if err != nil {
-		// An abort directive is a deliberate cancel: classify it as
-		// such even though only the attempt context died, so the
-		// report is a cancellation the coordinator can recognise as
-		// stale — not a spurious run failure.
-		re := scenario.ClassifyError(err, a.SeedAttempt, ctx.Err() != nil || aborted.Load())
-		out = Outcome{State: scenario.StateFailed, Error: re}
-		if re.Kind == scenario.ErrCancelled {
-			out.State = scenario.StateCancelled
-		}
-	} else {
-		out = Outcome{State: scenario.StatePassed, Result: res}
-	}
 
 	if fault.Kind == faults.WorkerSlow {
 		// The work is done but the report dawdles — typically past the

@@ -29,7 +29,9 @@ import (
 // exempt; an unwinding run never completes the transition.
 //
 // Scope is deliberately narrow: methods whose receiver is the
-// Coordinator or Runner — the two types that own dispatch state.
+// Coordinator or Runner — the two types that own dispatch state — or
+// the Registry both embed, which admits runs, journals and commits
+// terminal states for them.
 // Free recovery functions replay the journal into memory (the mirror
 // image of this rule) and Worker methods mutate only their local
 // outcome copy; both stay out. Requeue transitions (assigning
@@ -38,7 +40,7 @@ import (
 // to make durable. Mutations inside function literals are not tracked.
 var JournalOrder = &analysis.Analyzer{
 	Name:     "journalorder",
-	Doc:      "require dispatch-state mutations in Coordinator/Runner methods to be journaled on every path",
+	Doc:      "require dispatch-state mutations in Coordinator/Runner/Registry methods to be journaled on every path",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runJournalOrder,
 }
@@ -101,15 +103,16 @@ func runJournalOrder(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// dispatchMethod reports whether fn is a method of the Coordinator or
-// Runner type — the owners of journal-backed dispatch state.
+// dispatchMethod reports whether fn is a method of the Coordinator,
+// Runner or Registry type — the owners of journal-backed dispatch
+// state.
 func dispatchMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
 	}
 	switch namedTypeName(sig.Recv().Type()) {
-	case "Coordinator", "Runner":
+	case "Coordinator", "Runner", "Registry":
 		return true
 	}
 	return false

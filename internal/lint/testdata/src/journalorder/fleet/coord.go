@@ -1,6 +1,6 @@
 // Package fleet is the journalorder corpus: run-state transitions and
-// cancel acknowledgements inside Coordinator methods, with and without
-// a journal barrier on every path. The package path ends in "fleet" so
+// cancel acknowledgements inside Coordinator and Registry methods, with
+// and without a journal barrier on every path. The package path ends in "fleet" so
 // journalServicePkg applies, and the stub type names (Coordinator,
 // Journal, Entry, State) match the shapes the analyzer keys on.
 package fleet
@@ -109,6 +109,29 @@ func (c *Coordinator) SanctionedGrant(rec *runRec) error {
 	//hbplint:ignore journalorder corpus fixture: pretend in-memory-only coordinator used by a dry-run mode
 	rec.run.State = StateRunning
 	return nil
+}
+
+// Registry is the run bookkeeping a Coordinator or Runner embeds; a
+// generic receiver must not hide its methods from the check.
+type Registry[R any] struct {
+	journal *Journal
+	runs    map[string]R
+}
+
+// FinishLocked mirrors the shared terminal commit: the Entry return
+// hands the append to the caller.
+func (g *Registry[R]) FinishLocked(run *Run, to State) Entry {
+	run.State = to // exempt: returned Entry is the barrier
+	return Entry{Run: run.ID, State: to}
+}
+
+func (g *Registry[R]) BadFinish(run *Run) {
+	run.State = StateCancelled // want `run state transition run\.State is not journaled on every path`
+}
+
+func (g *Registry[R]) GoodFinish(run *Run) error {
+	run.State = StateCancelled // exempt: journaled before returning
+	return g.journal.Record(Entry{Run: run.ID, State: StateCancelled})
 }
 
 // recoverEntries is a free function: journal replay writes state INTO

@@ -234,9 +234,15 @@ func NewBottleneckMonitor(sim *des.Simulator, link *netsim.Link, into *netsim.No
 // Stop halts sampling.
 func (m *ThroughputMonitor) Stop() { m.stop() }
 
-// Series returns the samples collected so far. Values are fractions
-// of link capacity in [0, ~1].
-func (m *ThroughputMonitor) Series() *Series { return &m.series }
+// Series returns a copy of the samples collected so far. Values are
+// fractions of link capacity in [0, ~1]. The copy does not point into
+// the monitor, so holding it — as a run result does — keeps neither the
+// monitor nor, through its port and sampling event, the network and
+// simulator alive.
+func (m *ThroughputMonitor) Series() *Series {
+	s := m.series
+	return &s
+}
 
 // CaptureTimes converts absolute capture timestamps into capture
 // times relative to an attack start, dropping events before the

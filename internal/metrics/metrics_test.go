@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/netsim"
@@ -61,13 +63,55 @@ func TestThroughputMonitor(t *testing.T) {
 		t.Fatalf("legit throughput fraction = %v, want ~0.4", got)
 	}
 	mon.Stop()
-	n := s.Len()
+	n := mon.Series().Len()
 	if err := sim.RunUntil(15); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != n {
+	if mon.Series().Len() != n {
 		t.Fatal("monitor kept sampling after Stop")
 	}
+}
+
+// TestSeriesDoesNotPinSimulation: a run result holds its throughput
+// series long after the run. The series must not keep the monitor —
+// and through its port and sampling event the whole network and
+// simulator — alive: a finalizer on an object only the simulated
+// network reaches has to run while the series is still held.
+func TestSeriesDoesNotPinSimulation(t *testing.T) {
+	collected := make(chan struct{})
+	series := func() *Series {
+		sim := des.New()
+		nw := netsim.New(sim)
+		a, b := nw.AddNode("a"), nw.AddNode("b")
+		link := nw.Connect(a, b, 1e6, 0.001)
+		nw.ComputeRoutes()
+		// The canary holds no pointers, so it is in no reference cycle
+		// and its finalizer runs once the network is unreachable.
+		canary := new([64]byte)
+		runtime.SetFinalizer(canary, func(*[64]byte) { close(collected) })
+		b.Handler = func(p *netsim.Packet, in *netsim.Port) { canary[0]++ }
+		mon := NewBottleneckMonitor(sim, link, b, 1.0)
+		sim.Every(0, 0.01, func() {
+			a.Send(&netsim.Packet{Src: a.ID, TrueSrc: a.ID, Dst: b.ID, Size: 500, Type: netsim.Data, Legit: true})
+		})
+		if err := sim.RunUntil(3); err != nil {
+			t.Fatal(err)
+		}
+		return mon.Series()
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if series.Len() < 2 {
+				t.Fatalf("series lost its samples: %d", series.Len())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(series)
+	t.Fatal("the simulated network stayed reachable through the returned series")
 }
 
 func TestMonitorPortSelection(t *testing.T) {

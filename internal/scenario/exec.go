@@ -2,11 +2,58 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
+	"time"
 
+	"repro/internal/des"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 )
+
+// Outcome is one attempt's terminal report: the runner finishes a run
+// with it, a fleet worker sends it to the coordinator.
+type Outcome struct {
+	// State is passed, failed or cancelled.
+	State State `json:"state"`
+	// Error is set for failed/cancelled outcomes.
+	Error *RunError `json:"error,omitempty"`
+	// Result is set for passed outcomes.
+	Result *CaseResult `json:"result,omitempty"`
+}
+
+// RunAttempt is the attempt envelope both lifecycles run a case under,
+// the runner in its worker pool and a fleet worker on its lease: seed
+// attempt n of the spec's base seed (AttemptSeed), the per-seed
+// injected infrastructure-crash roll, a per-attempt wall deadline,
+// panic-isolated execution, and ClassifyError. wall and maxEvents are
+// the caller's defaults for a spec that sets neither. ctx is the run's
+// own context: an error after it was cancelled is a cancellation,
+// while an attempt that only overran its deadline is ErrWallDeadline.
+func RunAttempt(ctx context.Context, spec *CaseSpec, attempt int, wall time.Duration, maxEvents uint64) Outcome {
+	seed := AttemptSeed(spec.BaseSeed(), attempt)
+	if spec.MaxEvents != 0 {
+		maxEvents = spec.MaxEvents
+	}
+	var res *CaseResult
+	var err error
+	if (faults.InfraCrash{Prob: spec.InfraCrashProb}).Roll(seed) {
+		err = faults.ErrInfraCrash
+	} else {
+		attemptCtx, cancel := context.WithTimeout(ctx, spec.WallDeadline(wall))
+		res, err = ExecuteAttempt(attemptCtx, spec, seed, maxEvents)
+		cancel()
+	}
+	if err == nil {
+		return Outcome{State: StatePassed, Result: res}
+	}
+	re := ClassifyError(err, attempt, ctx.Err() != nil)
+	if re.Kind == ErrCancelled {
+		return Outcome{State: StateCancelled, Error: re}
+	}
+	return Outcome{State: StateFailed, Error: re}
+}
 
 // panicError carries a recovered executor panic to the supervisor.
 type panicError struct {
@@ -16,10 +63,11 @@ type panicError struct {
 
 func (e *panicError) Error() string { return "panic: " + e.value }
 
-// runAttempt executes one attempt with panic isolation: a panicking
-// executor is recovered into a panicError (with the goroutine stack)
-// instead of taking the worker — and the daemon — down with it.
-func runAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint64) (res *CaseResult, err error) {
+// ExecuteAttempt runs one panic-isolated attempt of a case at the given
+// seed: a panicking executor comes back as a typed error (with the
+// goroutine stack) instead of taking the worker — and the daemon —
+// down with it. The rest of the supervision envelope is RunAttempt's.
+func ExecuteAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint64) (res *CaseResult, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = nil
@@ -29,13 +77,65 @@ func runAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint6
 	return executeCase(ctx, spec, seed, maxEvents)
 }
 
-// ExecuteAttempt runs one panic-isolated attempt of a case — the unit
-// a fleet worker executes on behalf of a coordinator. The caller owns
-// the supervision envelope (context deadline, seed derivation, retry
-// policy); ExecuteAttempt only guarantees a panicking executor comes
-// back as a typed error instead of taking the worker process down.
-func ExecuteAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint64) (*CaseResult, error) {
-	return runAttempt(ctx, spec, seed, maxEvents)
+// ClassifyError maps an executor error to its typed RunError.
+// cancelled reports whether the run's own (not per-attempt) context
+// was cancelled, which distinguishes a client/drain cancel from an
+// attempt wall deadline.
+func ClassifyError(err error, attempt int, cancelled bool) *RunError {
+	var pe *panicError
+	var le *leakError
+	switch {
+	case errors.As(err, &pe):
+		return &RunError{Kind: ErrPanic, Message: pe.value, Stack: pe.stack, Attempt: attempt}
+	case errors.As(err, &le):
+		return &RunError{Kind: ErrLeak, Message: le.Error(), Attempt: attempt}
+	case errors.Is(err, faults.ErrInfraCrash):
+		return &RunError{Kind: ErrInfra, Message: err.Error(), Attempt: attempt}
+	case errors.Is(err, des.ErrEventLimit):
+		return &RunError{Kind: ErrEventLimit, Message: err.Error(), Attempt: attempt}
+	case errors.Is(err, context.Canceled) && cancelled:
+		return &RunError{Kind: ErrCancelled, Message: err.Error(), Attempt: attempt}
+	case errors.Is(err, context.DeadlineExceeded):
+		return &RunError{Kind: ErrWallDeadline, Message: err.Error(), Attempt: attempt}
+	default:
+		return &RunError{Kind: ErrRun, Message: err.Error(), Attempt: attempt}
+	}
+}
+
+// AttemptSeed derives the scenario seed for a retry attempt. Attempt 1
+// runs the base seed unchanged — a supervised first attempt is
+// bit-identical to a solo run — and later attempts mix the attempt
+// number in (des.DeriveSeed, the same splitmix derivation the sharded
+// engine uses for per-shard RNG streams) so a retried run explores
+// fresh randomness rather than deterministically re-hitting a
+// seed-dependent failure.
+func AttemptSeed(base int64, attempt int) int64 {
+	if attempt <= 1 {
+		return base
+	}
+	return des.DeriveSeed(base, int64(attempt))
+}
+
+// Backoff computes the deterministic jittered exponential delay before
+// the given attempt's retry: base·2^(attempt-1), capped at max, scaled
+// by a jitter in [0.5, 1.5) drawn from (seed, attempt). Determinism
+// makes retry schedules replayable in tests; jitter keeps a burst of
+// simultaneous failures from retrying in lockstep.
+func Backoff(base, max time.Duration, seed int64, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	rng := des.NewRNG(AttemptSeed(seed, attempt+1) ^ 0x5bf03635)
+	jitter := 0.5 + rng.Float64()
+	j := time.Duration(float64(d) * jitter)
+	if j > max {
+		j = max
+	}
+	return j
 }
 
 // RunCaseSolo executes one case outside any supervision — no retries,

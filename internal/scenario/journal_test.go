@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -147,7 +148,7 @@ func TestJournalMultiRecordTornTail(t *testing.T) {
 	}
 	// The finished record after the hole was dropped, so the run
 	// recovers as interrupted, not passed.
-	_, runs := Recover(entries)
+	_, runs, _ := NewRunner(Config{}, entries).GetSuite("s-1")
 	if len(runs) != 1 || runs[0].State != StateInterrupted {
 		t.Fatalf("recovered runs = %+v, want one interrupted run", runs)
 	}
@@ -167,11 +168,11 @@ func TestJournalDuplicateCompletion(t *testing.T) {
 		{Type: EntryFinished, Suite: "s-1", Run: "r-1", State: StateFailed,
 			Error: &RunError{Kind: ErrRun, Message: "replayed stale record"}},
 	}
-	_, runs := Recover(entries)
+	_, runs := Replay(entries)
 	if len(runs) != 1 {
 		t.Fatalf("recovered %d runs, want 1", len(runs))
 	}
-	r := runs[0]
+	r := runs[0].Run
 	if r.State != StatePassed || r.Error != nil {
 		t.Fatalf("duplicate completion rewrote the run: state %s err %+v, want passed/nil", r.State, r.Error)
 	}
@@ -217,5 +218,59 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	if len(entries) != 2 {
 		t.Fatalf("after repair got %d entries, want 2", len(entries))
+	}
+}
+
+// writeJournal writes raw JSONL lines as a journal file and opens it,
+// returning the replayable entries.
+func writeJournal(t *testing.T, lines ...string) []Entry {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	j.Close()
+	if len(entries) != len(lines) {
+		t.Fatalf("read %d of %d journal lines", len(entries), len(lines))
+	}
+	return entries
+}
+
+// TestJournalReplayOrder: Submit journals a run's submitted record
+// after releasing the runner lock, so a fast worker's started and
+// finished records can land first. A run journaled in that order
+// passed: it must replay as passed with its fingerprint, not as an
+// interrupted run with its history dropped. The fixture is written
+// byte for byte in the journal format hbpsimd has always written.
+func TestJournalReplayOrder(t *testing.T) {
+	entries := writeJournal(t,
+		`{"type":"suite","time":"2026-01-02T03:04:05Z","suite":"s-1","suite_name":"fast"}`,
+		`{"type":"started","time":"2026-01-02T03:04:06Z","suite":"s-1","run":"r-1","attempt":1}`,
+		`{"type":"finished","time":"2026-01-02T03:04:07Z","suite":"s-1","run":"r-1","state":"passed","fingerprint":"beef"}`,
+		`{"type":"submitted","time":"2026-01-02T03:04:05Z","suite":"s-1","run":"r-1","spec":{"name":"quick","tree":{"leaves":40,"duration":20,"seed":1}}}`,
+		`{"type":"submitted","time":"2026-01-02T03:04:08Z","suite":"s-1","run":"r-2","spec":{"name":"orphan","tree":{"leaves":40,"duration":20,"seed":2}}}`,
+		`{"type":"started","time":"2026-01-02T03:04:09Z","suite":"s-1","run":"r-2","attempt":1}`,
+	)
+	r := NewRunner(Config{}, entries)
+	got, ok := r.GetRun("r-1")
+	if !ok || got.State != StatePassed || got.Attempts != 1 {
+		t.Fatalf("finished-before-submitted run = %+v (ok=%v), want passed after 1 attempt", got, ok)
+	}
+	if got.Result == nil || got.Result.Fingerprint != "beef" || got.Result.Kind != "tree" {
+		t.Fatalf("finished-before-submitted run lost its result: %+v", got.Result)
+	}
+	if got.Spec.Name != "quick" || got.Suite != "s-1" {
+		t.Fatalf("replayed run lost its spec: %+v", got)
+	}
+	if got, _ := r.GetRun("r-2"); got.State != StateInterrupted || got.Attempts != 1 {
+		t.Fatalf("orphan = %+v, want interrupted after 1 attempt", got)
+	}
+	_, runs, _ := r.GetSuite("s-1")
+	if len(runs) != 2 || runs[0].ID != "r-1" || runs[1].ID != "r-2" {
+		t.Fatalf("suite runs = %+v, want r-1 then r-2", runs)
 	}
 }

@@ -2,16 +2,11 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bounded"
-	"repro/internal/des"
-	"repro/internal/faults"
 )
 
 // Config tunes the runner's supervision defaults; each case can
@@ -41,56 +36,23 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.WallDeadline <= 0 {
-		c.WallDeadline = 2 * time.Minute
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
+	OrDefault(&c.Workers, 2)
+	OrDefault(&c.WallDeadline, DefaultWallDeadline)
+	AdmissionDefaults(&c.QueueCap, &c.MaxAttempts, &c.BackoffBase, &c.BackoffMax)
 	return c
-}
-
-// ErrQueueFull is the admission-control rejection: the submission
-// queue is at capacity and the client should back off and retry.
-var ErrQueueFull = errors.New("scenario: submission queue full")
-
-// ErrDraining rejects submissions during shutdown.
-var ErrDraining = errors.New("scenario: runner is draining")
-
-// Suite groups runs for reporting.
-type Suite struct {
-	ID   string   `json:"id"`
-	Name string   `json:"name"`
-	Runs []string `json:"runs"`
 }
 
 // Runner is the supervisor: a bounded submission queue feeding a fixed
 // worker pool, each run executing under its own context with
 // deadlines, panic isolation, bounded retry and journaled state
-// transitions.
+// transitions. Suites, run IDs and admission are the embedded
+// Registry's; Mu guards the queue and cancel map too.
 type Runner struct {
+	*Registry[*Run, Run]
 	cfg Config
 
-	mu        sync.Mutex
-	queue     *bounded.Queue[*Run]
-	runs      map[string]*Run
-	suites    map[string]*Suite
-	cancels   map[string]context.CancelFunc
-	nextSuite int
-	nextRun   int
-	draining  bool
+	queue   *bounded.Queue[*Run]
+	cancels map[string]context.CancelFunc
 
 	wake    chan struct{}
 	drainCh chan struct{}
@@ -105,35 +67,18 @@ func NewRunner(cfg Config, recovered []Entry) *Runner {
 	r := &Runner{
 		cfg:     cfg,
 		queue:   bounded.NewQueue[*Run](cfg.QueueCap),
-		runs:    map[string]*Run{},
-		suites:  map[string]*Suite{},
 		cancels: map[string]context.CancelFunc{},
 		wake:    make(chan struct{}, 1),
 		drainCh: make(chan struct{}),
 	}
-	suiteNames, runs := Recover(recovered)
-	for id, name := range suiteNames {
-		r.suites[id] = &Suite{ID: id, Name: name}
-		r.bumpCounter(&r.nextSuite, id)
-	}
-	for _, run := range runs {
-		r.runs[run.ID] = run
-		if s := r.suites[run.Suite]; s != nil {
-			s.Runs = append(s.Runs, run.ID)
+	r.Registry = NewRegistry(cfg.Journal, r.enqueueLocked, (*Run).Snapshot)
+	r.Restore(recovered, func(rp *Replayed) *Run {
+		if !rp.Run.State.Terminal() {
+			rp.Run.State = StateInterrupted
 		}
-		r.bumpCounter(&r.nextRun, run.ID)
-	}
+		return rp.Run
+	})
 	return r
-}
-
-// bumpCounter advances an ID counter past a recovered "x-<n>" ID so
-// new IDs never collide with journaled ones.
-func (r *Runner) bumpCounter(ctr *int, id string) {
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > *ctr {
-			*ctr = n
-		}
-	}
 }
 
 // Start launches the worker pool.
@@ -144,82 +89,45 @@ func (r *Runner) Start() {
 	}
 }
 
-// CreateSuite registers a named suite and journals it.
-func (r *Runner) CreateSuite(name string) (*Suite, error) {
-	if name == "" {
-		return nil, fmt.Errorf("scenario: suite has no name")
+// enqueueLocked queues an admitted run and wakes a worker for it.
+func (r *Runner) enqueueLocked(run *Run) (*Run, bool) {
+	if !r.queue.Push(run) {
+		return nil, false
 	}
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, ErrDraining
+	r.signal()
+	return run, true
+}
+
+// signal wakes one idle worker; the wake channel holds one token, so
+// a signal with a token already pending is dropped.
+func (r *Runner) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
 	}
-	r.nextSuite++
-	s := &Suite{ID: fmt.Sprintf("s-%d", r.nextSuite), Name: name}
-	r.suites[s.ID] = s
-	r.mu.Unlock()
-	if err := r.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Submit validates and enqueues one case under the suite. A full
 // queue returns ErrQueueFull — the HTTP layer maps it to 503 +
 // Retry-After.
 func (r *Runner) Submit(suiteID string, spec CaseSpec) (*Run, error) {
-	if err := spec.Validate(); err != nil {
+	run, _, err := r.admit(suiteID, spec)
+	if err != nil {
 		return nil, err
-	}
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, ErrDraining
-	}
-	s := r.suites[suiteID]
-	if s == nil {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("scenario: no suite %q", suiteID)
-	}
-	run := &Run{
-		ID:          fmt.Sprintf("r-%d", r.nextRun+1),
-		Suite:       suiteID,
-		Spec:        spec,
-		State:       StateQueued,
-		SubmittedAt: time.Now(),
-	}
-	if !r.queue.Push(run) {
-		r.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	r.nextRun++
-	r.runs[run.ID] = run
-	s.Runs = append(s.Runs, run.ID)
-	r.mu.Unlock()
-
-	if err := r.cfg.Journal.Record(Entry{
-		Type: EntrySubmitted, Time: run.SubmittedAt,
-		Suite: suiteID, Run: run.ID, Spec: &spec,
-	}); err != nil {
-		return nil, err
-	}
-	select {
-	case r.wake <- struct{}{}:
-	default:
 	}
 	return run, nil
 }
 
 // Resubmit re-queues a recovered interrupted run as a fresh run.
 func (r *Runner) Resubmit(runID string) (*Run, error) {
-	r.mu.Lock()
-	old := r.runs[runID]
+	r.Mu.Lock()
+	old := r.Runs[runID]
 	if old == nil || old.State != StateInterrupted {
-		r.mu.Unlock()
+		r.Mu.Unlock()
 		return nil, fmt.Errorf("scenario: run %q is not an interrupted run", runID)
 	}
 	suite, spec := old.Suite, old.Spec
-	r.mu.Unlock()
+	r.Mu.Unlock()
 	return r.Submit(suite, spec)
 }
 
@@ -227,112 +135,39 @@ func (r *Runner) Resubmit(runID string) (*Run, error) {
 // get their context cancelled and finish as StateCancelled at the
 // next checkpoint. Cancelling a terminal run is a no-op.
 func (r *Runner) Cancel(runID string) error {
-	r.mu.Lock()
-	run := r.runs[runID]
+	r.Mu.Lock()
+	run := r.Runs[runID]
 	if run == nil {
-		r.mu.Unlock()
+		r.Mu.Unlock()
 		return fmt.Errorf("scenario: no run %q", runID)
 	}
 	switch run.State {
 	case StateQueued:
-		run.State = StateCancelled
-		run.Error = &RunError{Kind: ErrCancelled, Message: "cancelled while queued"}
-		run.FinishedAt = time.Now()
-		r.mu.Unlock()
-		return r.cfg.Journal.Record(Entry{
-			Type: EntryFinished, Time: run.FinishedAt,
-			Suite: run.Suite, Run: run.ID, State: StateCancelled, Error: run.Error,
+		e := r.FinishLocked(run, EntryFinished, Outcome{
+			State: StateCancelled,
+			Error: &RunError{Kind: ErrCancelled, Message: "cancelled while queued"},
 		})
+		r.Mu.Unlock()
+		return r.Journal.Record(e)
 	case StateRunning:
 		cancel := r.cancels[runID]
-		r.mu.Unlock()
+		r.Mu.Unlock()
 		if cancel != nil {
 			cancel()
 		}
 		return nil
 	default:
-		r.mu.Unlock()
+		r.Mu.Unlock()
 		return nil
 	}
 }
 
-// snapshot copies a run under the runner's lock. Handlers need it for
-// runs returned by Submit/Resubmit: by the time the HTTP response is
-// encoded, a worker may already be flipping the run to StateRunning.
-func (r *Runner) snapshot(run *Run) Run {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return run.Snapshot()
-}
-
-// GetRun returns a snapshot of the run.
-func (r *Runner) GetRun(id string) (Run, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	run := r.runs[id]
-	if run == nil {
-		return Run{}, false
-	}
-	return run.Snapshot(), true
-}
-
-// GetSuite returns the suite and snapshots of its runs.
-func (r *Runner) GetSuite(id string) (Suite, []Run, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.suites[id]
-	if s == nil {
-		return Suite{}, nil, false
-	}
-	runs := make([]Run, 0, len(s.Runs))
-	for _, rid := range s.Runs {
-		if run := r.runs[rid]; run != nil {
-			runs = append(runs, run.Snapshot())
-		}
-	}
-	return *s, runs, true
-}
-
-// Suites lists all suites.
-func (r *Runner) Suites() []Suite {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Suite, 0, len(r.suites))
-	for _, s := range r.suites {
-		out = append(out, *s)
-	}
-	return out
-}
-
-// QueueDepth returns the current backlog and capacity.
-func (r *Runner) QueueDepth() (depth, capacity int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.queue.Len(), r.queue.Cap()
-}
-
-// Health is the live/schedulable snapshot readyz serves: a daemon is
-// alive whenever it answers, but only schedulable when it is not
-// draining and has queue headroom — the distinction a fleet
-// coordinator (and the CI smoke) needs to route work.
-type Health struct {
-	QueueDepth int  `json:"queue"`
-	QueueCap   int  `json:"queue_cap"`
-	InFlight   int  `json:"in_flight"`
-	Draining   bool `json:"draining"`
-}
-
-// Ready reports whether the runner can accept a submission right now.
-func (h Health) Ready() bool {
-	return !h.Draining && h.QueueDepth < h.QueueCap
-}
-
 // Health returns the current schedulability snapshot.
 func (r *Runner) Health() Health {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
 	inFlight := 0
-	for _, run := range r.runs {
+	for _, run := range r.Runs {
 		if run.State == StateRunning {
 			inFlight++
 		}
@@ -341,7 +176,7 @@ func (r *Runner) Health() Health {
 		QueueDepth: r.queue.Len(),
 		QueueCap:   r.queue.Cap(),
 		InFlight:   inFlight,
-		Draining:   r.draining,
+		Draining:   r.Draining,
 	}
 }
 
@@ -351,12 +186,12 @@ func (r *Runner) Health() Health {
 // the workers to unwind before returning ctx's error — the pool never
 // outlives the call.
 func (r *Runner) Drain(ctx context.Context) error {
-	r.mu.Lock()
-	if !r.draining {
-		r.draining = true
+	r.Mu.Lock()
+	if !r.Draining {
+		r.Draining = true
 		close(r.drainCh)
 	}
-	r.mu.Unlock()
+	r.Mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
@@ -375,14 +210,14 @@ func (r *Runner) Drain(ctx context.Context) error {
 
 // cancelAll cancels every queued and running run.
 func (r *Runner) cancelAll() {
-	r.mu.Lock()
+	r.Mu.Lock()
 	var ids []string
-	for id, run := range r.runs {
+	for id, run := range r.Runs {
 		if !run.State.Terminal() {
 			ids = append(ids, id)
 		}
 	}
-	r.mu.Unlock()
+	r.Mu.Unlock()
 	for _, id := range ids {
 		r.Cancel(id) //nolint:errcheck // best effort during forced drain
 	}
@@ -403,23 +238,19 @@ func (r *Runner) worker() {
 // queue is empty.
 func (r *Runner) next() *Run {
 	for {
-		r.mu.Lock()
+		r.Mu.Lock()
 		if run, ok := r.queue.Pop(); ok {
 			more := r.queue.Len() > 0
-			r.mu.Unlock()
+			r.Mu.Unlock()
 			if more {
-				// Cascade the wakeup: a dropped signal (the wake
-				// channel holds one token) must not strand queued work
-				// behind a single busy worker.
-				select {
-				case r.wake <- struct{}{}:
-				default:
-				}
+				// Cascade the wakeup: a dropped signal must not strand
+				// queued work behind a single busy worker.
+				r.signal()
 			}
 			return run
 		}
-		draining := r.draining
-		r.mu.Unlock()
+		draining := r.Draining
+		r.Mu.Unlock()
 		if draining {
 			return nil
 		}
@@ -430,11 +261,12 @@ func (r *Runner) next() *Run {
 	}
 }
 
-// execute supervises one run to a terminal state.
+// execute supervises one run to a terminal state: RunAttempt per
+// attempt, with jittered backoff before retrying an infra fault.
 func (r *Runner) execute(run *Run) {
-	r.mu.Lock()
+	r.Mu.Lock()
 	if run.State != StateQueued { // cancelled while queued
-		r.mu.Unlock()
+		r.Mu.Unlock()
 		return
 	}
 	run.State = StateRunning
@@ -442,119 +274,39 @@ func (r *Runner) execute(run *Run) {
 	spec := run.Spec
 	baseCtx, cancel := context.WithCancel(context.Background())
 	r.cancels[run.ID] = cancel
-	r.mu.Unlock()
+	r.Mu.Unlock()
 	defer func() {
 		cancel()
-		r.mu.Lock()
+		r.Mu.Lock()
 		delete(r.cancels, run.ID)
-		r.mu.Unlock()
+		r.Mu.Unlock()
 	}()
 
 	maxAttempts := spec.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = r.cfg.MaxAttempts
 	}
-	maxEvents := spec.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = r.cfg.MaxEvents
-	}
-	wallDeadline := spec.WallDeadline(r.cfg.WallDeadline)
-	baseSeed := int64(1)
-	if spec.Tree != nil && spec.Tree.Seed != 0 {
-		baseSeed = spec.Tree.Seed
-	}
-
 	for attempt := 1; ; attempt++ {
-		r.mu.Lock()
+		r.Mu.Lock()
 		run.Attempts = attempt
-		r.mu.Unlock()
-		r.cfg.Journal.Record(Entry{ //nolint:errcheck // lifecycle goes on if the disk is gone
+		r.Mu.Unlock()
+		r.Journal.Record(Entry{ //nolint:errcheck // lifecycle goes on if the disk is gone
 			Type: EntryStarted, Time: time.Now(),
 			Suite: run.Suite, Run: run.ID, Attempt: attempt,
 		})
-
-		seed := AttemptSeed(baseSeed, attempt)
-		var result *CaseResult
-		var err error
-		if (faults.InfraCrash{Prob: spec.InfraCrashProb}).Roll(seed) {
-			err = faults.ErrInfraCrash
-		} else {
-			attemptCtx, attemptCancel := context.WithTimeout(baseCtx, wallDeadline)
-			result, err = runAttempt(attemptCtx, &spec, seed, maxEvents)
-			attemptCancel()
-		}
-
-		if err == nil {
-			r.finish(run, StatePassed, nil, result)
-			return
-		}
-		re := classify(err, attempt, baseCtx)
-		if re.Kind == ErrInfra && attempt < maxAttempts {
-			if !r.backoff(baseCtx, baseSeed, attempt) {
-				r.finish(run, StateCancelled,
-					&RunError{Kind: ErrCancelled, Message: "cancelled during retry backoff", Attempt: attempt}, nil)
-				return
+		out := RunAttempt(baseCtx, &spec, attempt, r.cfg.WallDeadline, r.cfg.MaxEvents)
+		if out.Error != nil && out.Error.Kind == ErrInfra && attempt < maxAttempts {
+			if r.backoff(baseCtx, spec.BaseSeed(), attempt) {
+				continue
 			}
-			continue
+			out = Outcome{State: StateCancelled,
+				Error: &RunError{Kind: ErrCancelled, Message: "cancelled during retry backoff", Attempt: attempt}}
 		}
-		state := StateFailed
-		if re.Kind == ErrCancelled {
-			state = StateCancelled
-		}
-		r.finish(run, state, re, nil)
+		r.Mu.Lock()
+		e := r.FinishLocked(run, EntryFinished, out)
+		r.Mu.Unlock()
+		r.Journal.Record(e) //nolint:errcheck // the in-memory state is already terminal
 		return
-	}
-}
-
-// finish records the terminal state and journals it.
-func (r *Runner) finish(run *Run, state State, re *RunError, result *CaseResult) {
-	r.mu.Lock()
-	run.State = state
-	run.Error = re
-	run.Result = result
-	run.FinishedAt = time.Now()
-	e := Entry{
-		Type: EntryFinished, Time: run.FinishedAt,
-		Suite: run.Suite, Run: run.ID, State: state, Error: re,
-	}
-	if result != nil {
-		e.Fingerprint = result.Fingerprint
-	}
-	r.mu.Unlock()
-	r.cfg.Journal.Record(e) //nolint:errcheck // the in-memory state is already terminal
-}
-
-// classify maps an executor error to its RunError kind. baseCtx
-// distinguishes a client cancel (the run's own context was cancelled)
-// from an attempt deadline (only the per-attempt timeout fired).
-func classify(err error, attempt int, baseCtx context.Context) *RunError {
-	return ClassifyError(err, attempt, baseCtx.Err() != nil)
-}
-
-// ClassifyError maps an executor error to its typed RunError.
-// cancelled reports whether the run's own (not per-attempt) context
-// was cancelled, which distinguishes a client/drain cancel from an
-// attempt wall deadline. Exported for fleet workers, which supervise
-// attempts themselves but must report the same error taxonomy the
-// local runner records.
-func ClassifyError(err error, attempt int, cancelled bool) *RunError {
-	var pe *panicError
-	var le *leakError
-	switch {
-	case errors.As(err, &pe):
-		return &RunError{Kind: ErrPanic, Message: pe.value, Stack: pe.stack, Attempt: attempt}
-	case errors.As(err, &le):
-		return &RunError{Kind: ErrLeak, Message: le.Error(), Attempt: attempt}
-	case errors.Is(err, faults.ErrInfraCrash):
-		return &RunError{Kind: ErrInfra, Message: err.Error(), Attempt: attempt}
-	case errors.Is(err, des.ErrEventLimit):
-		return &RunError{Kind: ErrEventLimit, Message: err.Error(), Attempt: attempt}
-	case errors.Is(err, context.Canceled) && cancelled:
-		return &RunError{Kind: ErrCancelled, Message: err.Error(), Attempt: attempt}
-	case errors.Is(err, context.DeadlineExceeded):
-		return &RunError{Kind: ErrWallDeadline, Message: err.Error(), Attempt: attempt}
-	default:
-		return &RunError{Kind: ErrRun, Message: err.Error(), Attempt: attempt}
 	}
 }
 
@@ -570,40 +322,4 @@ func (r *Runner) backoff(ctx context.Context, baseSeed int64, attempt int) bool 
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// AttemptSeed derives the scenario seed for a retry attempt. Attempt 1
-// runs the base seed unchanged — a supervised first attempt is
-// bit-identical to a solo run — and later attempts mix the attempt
-// number in (des.DeriveSeed, the same splitmix derivation the sharded
-// engine uses for per-shard RNG streams) so a retried run explores
-// fresh randomness rather than deterministically re-hitting a
-// seed-dependent failure.
-func AttemptSeed(base int64, attempt int) int64 {
-	if attempt <= 1 {
-		return base
-	}
-	return des.DeriveSeed(base, int64(attempt))
-}
-
-// Backoff computes the deterministic jittered exponential delay before
-// the given attempt's retry: base·2^(attempt-1), capped at max, scaled
-// by a jitter in [0.5, 1.5) drawn from (seed, attempt). Determinism
-// makes retry schedules replayable in tests; jitter keeps a burst of
-// simultaneous failures from retrying in lockstep.
-func Backoff(base, max time.Duration, seed int64, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	rng := des.NewRNG(AttemptSeed(seed, attempt+1) ^ 0x5bf03635)
-	jitter := 0.5 + rng.Float64()
-	j := time.Duration(float64(d) * jitter)
-	if j > max {
-		j = max
-	}
-	return j
 }

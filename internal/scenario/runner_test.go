@@ -84,7 +84,7 @@ func TestRunnerHealthyRun(t *testing.T) {
 // bit-identical to executing the same spec outside the service.
 func TestRunnerFingerprintMatchesSolo(t *testing.T) {
 	spec := CaseSpec{Name: "fp", Tree: quickTree(11)}
-	solo, err := runAttempt(context.Background(), &spec, 11, 0)
+	solo, err := ExecuteAttempt(context.Background(), &spec, 11, 0)
 	if err != nil {
 		t.Fatalf("solo attempt: %v", err)
 	}

@@ -6,8 +6,26 @@ import (
 	"net/http"
 )
 
-// Server is the HTTP face of the runner — the suite/case API
-// cmd/hbpsimd serves and cmd/hbpsim submits to.
+// Readiness is a lifecycle's health snapshot: readyz serves it whole,
+// 200 only when Ready, and healthz serves its Liveness.
+type Readiness interface {
+	Ready() bool
+	Liveness() map[string]any
+}
+
+// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
+// suite plus snapshots of its runs.
+type SuiteStatus = suiteBody[Run]
+
+type suiteBody[V any] struct {
+	Suite Suite `json:"suite"`
+	Runs  []V   `json:"runs"`
+}
+
+// Routes mounts the client API both daemons serve — cmd/hbpsimd in
+// front of a Runner, cmd/hbpfleet in front of a fleet Coordinator —
+// on mux. g is the lifecycle's registry; cancel and health are the
+// lifecycle's own.
 //
 //	POST   /suites            {"name": ...}            -> suite (optionally with inline "cases")
 //	GET    /suites            list suites
@@ -15,161 +33,134 @@ import (
 //	POST   /suites/{id}/cases CaseSpec                 -> run (503 + Retry-After when full)
 //	GET    /runs/{id}         run snapshot
 //	DELETE /runs/{id}         cancel the run
-//	POST   /runs/{id}/resubmit re-queue an interrupted run
 //	GET    /healthz           liveness + queue depth
 //	GET    /readyz            schedulability: 200 only when accepting work
-type Server struct {
-	runner *Runner
-	mux    *http.ServeMux
-}
-
-// NewServer wires the routes.
-func NewServer(r *Runner) *Server {
-	s := &Server{runner: r, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /suites", s.createSuite)
-	s.mux.HandleFunc("GET /suites", s.listSuites)
-	s.mux.HandleFunc("GET /suites/{id}", s.getSuite)
-	s.mux.HandleFunc("POST /suites/{id}/cases", s.submitCase)
-	s.mux.HandleFunc("GET /runs/{id}", s.getRun)
-	s.mux.HandleFunc("DELETE /runs/{id}", s.cancelRun)
-	s.mux.HandleFunc("POST /runs/{id}/resubmit", s.resubmitRun)
-	s.mux.HandleFunc("GET /healthz", s.healthz)
-	s.mux.HandleFunc("GET /readyz", s.readyz)
-	return s
-}
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	s.mux.ServeHTTP(w, req)
-}
-
-// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
-// suite plus snapshots of its runs.
-type SuiteStatus struct {
-	Suite Suite `json:"suite"`
-	Runs  []Run `json:"runs"`
-}
-
-func (s *Server) createSuite(w http.ResponseWriter, req *http.Request) {
-	var spec SuiteSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A bare {"name": ...} creates an empty suite for incremental
-	// submission; inline cases are validated and submitted atomically
-	// up front.
-	if len(spec.Cases) > 0 {
-		if err := spec.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+func Routes[R, V any, H Readiness](mux *http.ServeMux, g *Registry[R, V], cancel func(runID string) error, health func() H) {
+	mux.HandleFunc("POST /suites", func(w http.ResponseWriter, req *http.Request) {
+		var spec SuiteSpec
+		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-	} else if spec.Name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("suite has no name"))
-		return
-	}
-	suite, err := s.runner.CreateSuite(spec.Name)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	for i := range spec.Cases {
-		if _, err := s.runner.Submit(suite.ID, spec.Cases[i]); err != nil {
-			// Partial admission is visible in the suite state; report
-			// the stall so the client can resubmit the remainder.
-			w.Header().Set("Retry-After", "1")
-			httpError(w, statusFor(err), err)
+		// A bare {"name": ...} creates an empty suite for incremental
+		// submission; inline cases are validated and submitted
+		// atomically up front.
+		if len(spec.Cases) > 0 {
+			if err := spec.Validate(); err != nil {
+				HTTPError(w, http.StatusBadRequest, err)
+				return
+			}
+		} else if spec.Name == "" {
+			HTTPError(w, http.StatusBadRequest, errors.New("suite has no name"))
 			return
 		}
-	}
-	got, runs, _ := s.runner.GetSuite(suite.ID)
-	writeJSON(w, http.StatusCreated, SuiteStatus{Suite: got, Runs: runs})
-}
-
-func (s *Server) listSuites(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, s.runner.Suites())
-}
-
-func (s *Server) getSuite(w http.ResponseWriter, req *http.Request) {
-	suite, runs, ok := s.runner.GetSuite(req.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("no such suite"))
-		return
-	}
-	writeJSON(w, http.StatusOK, SuiteStatus{Suite: suite, Runs: runs})
-}
-
-func (s *Server) submitCase(w http.ResponseWriter, req *http.Request) {
-	var spec CaseSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	run, err := s.runner.Submit(req.PathValue("id"), spec)
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
+		suite, err := g.CreateSuite(spec.Name)
+		if err != nil {
+			HTTPError(w, StatusFor(err), err)
+			return
+		}
+		for i := range spec.Cases {
+			if _, err := g.Submit(suite.ID, spec.Cases[i]); err != nil {
+				// Partial admission is visible in the suite state;
+				// report the stall so the client can resubmit the
+				// remainder.
+				w.Header().Set("Retry-After", "1")
+				HTTPError(w, StatusFor(err), err)
+				return
+			}
+		}
+		got, runs, _ := g.GetSuite(suite.ID)
+		WriteJSON(w, http.StatusCreated, suiteBody[V]{Suite: got, Runs: runs})
+	})
+	mux.HandleFunc("GET /suites", func(w http.ResponseWriter, req *http.Request) {
+		WriteJSON(w, http.StatusOK, g.Suites())
+	})
+	mux.HandleFunc("GET /suites/{id}", func(w http.ResponseWriter, req *http.Request) {
+		suite, runs, ok := g.GetSuite(req.PathValue("id"))
+		if !ok {
+			HTTPError(w, http.StatusNotFound, errors.New("no such suite"))
+			return
+		}
+		WriteJSON(w, http.StatusOK, suiteBody[V]{Suite: suite, Runs: runs})
+	})
+	mux.HandleFunc("POST /suites/{id}/cases", func(w http.ResponseWriter, req *http.Request) {
+		var spec CaseSpec
+		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+			HTTPError(w, http.StatusBadRequest, err)
+			return
+		}
+		run, err := g.Submit(req.PathValue("id"), spec)
+		writeAdmitted(w, run, err)
+	})
+	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		run, ok := g.GetRun(req.PathValue("id"))
+		if !ok {
+			HTTPError(w, http.StatusNotFound, errors.New("no such run"))
+			return
+		}
+		WriteJSON(w, http.StatusOK, run)
+	})
+	mux.HandleFunc("DELETE /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		if err := cancel(req.PathValue("id")); err != nil {
+			HTTPError(w, http.StatusNotFound, err)
+			return
+		}
+		run, _ := g.GetRun(req.PathValue("id"))
+		WriteJSON(w, http.StatusOK, run)
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
+		WriteJSON(w, http.StatusOK, health().Liveness())
+	})
+	// readyz distinguishes live from schedulable: a draining daemon or
+	// a full queue answers 503 (with the same body) so a fleet
+	// coordinator or smoke test can tell "up" from "will accept a run
+	// right now".
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
+		h := health()
+		code := http.StatusOK
+		if !h.Ready() {
+			code = http.StatusServiceUnavailable
 			w.Header().Set("Retry-After", "1")
 		}
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
-}
-
-func (s *Server) getRun(w http.ResponseWriter, req *http.Request) {
-	run, ok := s.runner.GetRun(req.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("no such run"))
-		return
-	}
-	writeJSON(w, http.StatusOK, run)
-}
-
-func (s *Server) cancelRun(w http.ResponseWriter, req *http.Request) {
-	if err := s.runner.Cancel(req.PathValue("id")); err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	run, _ := s.runner.GetRun(req.PathValue("id"))
-	writeJSON(w, http.StatusOK, run)
-}
-
-func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
-	run, err := s.runner.Resubmit(req.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
-}
-
-func (s *Server) healthz(w http.ResponseWriter, req *http.Request) {
-	depth, capacity := s.runner.QueueDepth()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"queue":     depth,
-		"queue_cap": capacity,
+		WriteJSON(w, code, h)
 	})
 }
 
-// readyz distinguishes live from schedulable: a draining daemon or a
-// full queue answers 503 (with the same body) so a fleet coordinator
-// or smoke test can tell "up" from "will accept a run right now".
-func (s *Server) readyz(w http.ResponseWriter, req *http.Request) {
-	h := s.runner.Health()
-	code := http.StatusOK
-	if !h.Ready() {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
+// writeAdmitted answers one admission: 202 with the run, or the
+// mapped error status — with Retry-After on a full queue.
+func writeAdmitted[V any](w http.ResponseWriter, run V, err error) {
+	if err != nil {
+		if errors.Is(err, ErrQueueFull) {
+			w.Header().Set("Retry-After", "1")
+		}
+		HTTPError(w, StatusFor(err), err)
+		return
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, http.StatusAccepted, run)
 }
 
-// statusFor maps runner errors to HTTP statuses: backpressure and
-// shutdown are 503 (retryable), bad specs are 400.
-func statusFor(err error) int {
+// NewServer is hbpsimd's HTTP face: the client routes in front of the
+// runner, plus
+//
+//	POST   /runs/{id}/resubmit re-queue an interrupted run
+func NewServer(r *Runner) http.Handler {
+	mux := http.NewServeMux()
+	Routes(mux, r.Registry, r.Cancel, r.Health)
+	mux.HandleFunc("POST /runs/{id}/resubmit", func(w http.ResponseWriter, req *http.Request) {
+		run, err := r.Resubmit(req.PathValue("id"))
+		var snap Run
+		if err == nil {
+			snap, _ = r.GetRun(run.ID)
+		}
+		writeAdmitted(w, snap, err)
+	})
+	return mux
+}
+
+// StatusFor maps admission errors to HTTP statuses: backpressure and
+// shutdown are 503 (retryable), anything else — a bad spec, an unknown
+// suite — is 400.
+func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
@@ -178,12 +169,14 @@ func statusFor(err error) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// HTTPError writes {"error": err} with the given status.
+func HTTPError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

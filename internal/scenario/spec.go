@@ -189,6 +189,15 @@ func (c *CaseSpec) WallDeadline(def time.Duration) time.Duration {
 	return def
 }
 
+// BaseSeed resolves the scenario seed of attempt 1: the tree seed, or
+// 1 when the spec sets none.
+func (c *CaseSpec) BaseSeed() int64 {
+	if c.Tree != nil && c.Tree.Seed != 0 {
+		return c.Tree.Seed
+	}
+	return 1
+}
+
 // Config translates the spec into a validated experiments.TreeConfig,
 // the exact mapping cmd/hbpsim applies to its flags.
 func (t TreeSpec) Config() (experiments.TreeConfig, error) {
